@@ -1,5 +1,6 @@
-//! Steady-state allocation audit: with the trace sink disabled, the
-//! cycle loop must not allocate at all.
+//! Steady-state allocation audits: with the trace sink disabled, the
+//! cycle loop must not allocate at all; with a JSONL sink attached,
+//! serializing an event must not allocate either.
 //!
 //! Each simulation's allocations are construction plus first-touch
 //! growth of its reusable buffers — a fixed count. If the count moves
@@ -7,8 +8,8 @@
 //! allocating (a collect, a fresh Vec, an event built for a disabled
 //! sink), which is exactly the regression this test exists to catch.
 //!
-//! This file holds a single test: the counting allocator is global to
-//! the binary, so a parallel test would pollute the measured windows.
+//! Allocations are counted per thread, so tests running in parallel do
+//! not pollute each other's measured windows.
 //!
 //! `unsafe` allowlist: this is the one file in the workspace permitted
 //! to use `unsafe` — `GlobalAlloc` is an unsafe trait, so a counting
@@ -16,18 +17,26 @@
 //! `#![deny(unsafe_code)]`; integration tests compile as separate
 //! crates, which is why the denial does not bite here.
 
-use ff_core::{Baseline, MachineConfig, TwoPass};
+use ff_core::{Baseline, JsonlSink, MachineConfig, TraceSink, TwoPass};
 use ff_workloads::{benchmark_by_name, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so the allocator can
+    // touch it at any point in a thread's life without allocating.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOC_CALLS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,9 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = ALLOC_CALLS.with(Cell::get);
     f();
-    ALLOC_CALLS.load(Ordering::Relaxed) - before
+    ALLOC_CALLS.with(Cell::get) - before
 }
 
 #[test]
@@ -89,4 +98,23 @@ fn disabled_sink_runs_do_not_allocate_per_cycle() {
         tp_short, tp_long,
         "two-pass allocations scale with run length: the cycle loop allocates"
     );
+}
+
+#[test]
+fn jsonl_sink_serializes_events_without_allocating() {
+    let w = benchmark_by_name("mcf-like", Scale::Tiny).unwrap();
+    let (_, trace) = TwoPass::new(&w.program, w.memory.clone(), MachineConfig::paper_table1())
+        .run_traced(w.budget);
+    let mut sink = JsonlSink::new(std::io::sink());
+    // The first pass grows the sink's line buffer to the longest line.
+    for &e in trace.events() {
+        sink.emit(e);
+    }
+    let allocs = allocs_during(|| {
+        for &e in trace.events() {
+            sink.emit(e);
+        }
+    });
+    assert_eq!(sink.written(), 2 * trace.len() as u64);
+    assert_eq!(allocs, 0, "JsonlSink allocated while streaming {} events", trace.len());
 }
