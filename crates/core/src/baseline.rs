@@ -580,7 +580,7 @@ impl<'p> Baseline<'p> {
     ) -> (SimReport, [u64; TOTAL_REGS], MemoryImage) {
         self.run_loop(max_instrs, &mut SinkHandle::off());
         let regs = self.regs;
-        let mem = self.mem_img.clone();
+        let mem = std::mem::take(&mut self.mem_img);
         (self.into_report(), regs, mem)
     }
 
@@ -597,7 +597,7 @@ impl<'p> Baseline<'p> {
         self.run_loop(max_instrs, &mut handle);
         handle.finish();
         let regs = self.regs;
-        let mem = self.mem_img.clone();
+        let mem = std::mem::take(&mut self.mem_img);
         (self.into_report(), trace, regs, mem)
     }
 }

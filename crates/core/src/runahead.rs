@@ -28,8 +28,10 @@ use crate::trace::{Trace, TraceEvent};
 use ff_isa::reg::TOTAL_REGS;
 use ff_isa::{evaluate, load_write, Effect, MemoryImage, Program};
 use ff_mem::{DataHierarchy, MemLevel, MshrFile};
+use overlay::StoreOverlay;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+
+mod overlay;
 
 /// Extra counters for the runahead machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -95,25 +97,20 @@ pub struct Runahead<'p> {
     reg_pc: [usize; TOTAL_REGS],
     mem_stats: MemAccessStats,
     branches: BranchStats,
-    ra: Option<RaMode>,
+    /// Control of the open runahead episode; `None` in normal mode.
+    ra: Option<Episode>,
+    /// Speculative state, meaningful only while `ra` is `Some`.
+    spec: SpecState,
     ra_stats: RunaheadStats,
 }
 
-/// Speculative state alive only during a runahead episode.
-#[derive(Debug)]
-struct RaMode {
+/// Control of one runahead episode.
+#[derive(Debug, Clone, Copy)]
+struct Episode {
     /// Cycle the blocking load completes (episode end).
     until: u64,
     /// PC of the stalled group, to refetch at exit.
     resume_pc: usize,
-    /// Speculative register bits.
-    regs: [u64; TOTAL_REGS],
-    /// INV marks.
-    inv: [bool; TOTAL_REGS],
-    /// Per-register availability within runahead.
-    ready_at: [u64; TOTAL_REGS],
-    /// Runahead store overlay (discarded at exit).
-    stores: HashMap<u64, u8>,
     /// Set when runahead ran off a halt or drained: idle until `until`.
     done: bool,
     /// `discarded_instrs` at episode entry, so the exit event can report
@@ -124,22 +121,20 @@ struct RaMode {
     attr: StallAttr,
 }
 
-impl RaMode {
-    fn read_mem(&self, base: &MemoryImage, addr: u64, size: u64) -> u64 {
-        let mut v = 0u64;
-        for i in 0..size {
-            let a = addr.wrapping_add(i);
-            let byte = self.stores.get(&a).copied().unwrap_or_else(|| base.read_u8(a));
-            v |= u64::from(byte) << (8 * i);
-        }
-        v
-    }
-
-    fn write_mem(&mut self, addr: u64, size: u64, bits: u64) {
-        for i in 0..size {
-            self.stores.insert(addr.wrapping_add(i), (bits >> (8 * i)) as u8);
-        }
-    }
+/// Speculative state of runahead execution. The machine owns one for
+/// its whole lifetime and resets it at each episode entry, so the cycle
+/// loop neither moves nor reallocates it; whatever an episode leaves
+/// behind is discarded by the next entry's reset.
+#[derive(Debug)]
+struct SpecState {
+    /// Speculative register bits.
+    regs: [u64; TOTAL_REGS],
+    /// INV marks.
+    inv: [bool; TOTAL_REGS],
+    /// Per-register availability within runahead.
+    ready_at: [u64; TOTAL_REGS],
+    /// Runahead store overlay.
+    stores: StoreOverlay,
 }
 
 impl<'p> Runahead<'p> {
@@ -178,6 +173,12 @@ impl<'p> Runahead<'p> {
             mem_stats: MemAccessStats::default(),
             branches: BranchStats::default(),
             ra: None,
+            spec: SpecState {
+                regs: [0; TOTAL_REGS],
+                inv: [false; TOTAL_REGS],
+                ready_at: [0; TOTAL_REGS],
+                stores: StoreOverlay::default(),
+            },
             ra_stats: RunaheadStats::default(),
         }
     }
@@ -217,7 +218,7 @@ impl<'p> Runahead<'p> {
     ) -> (SimReport, [u64; TOTAL_REGS], MemoryImage) {
         self.run_loop(max_instrs, &mut SinkHandle::off());
         let regs = self.regs;
-        let mem = self.mem_img.clone();
+        let mem = std::mem::take(&mut self.mem_img);
         (self.into_report(), regs, mem)
     }
 
@@ -234,7 +235,7 @@ impl<'p> Runahead<'p> {
         self.run_loop(max_instrs, &mut handle);
         handle.finish();
         let regs = self.regs;
-        let mem = self.mem_img.clone();
+        let mem = std::mem::take(&mut self.mem_img);
         (self.into_report(), trace, regs, mem)
     }
 
@@ -582,17 +583,18 @@ impl<'p> Runahead<'p> {
     ) {
         self.ra_stats.episodes += 1;
         sink.emit_with(|| TraceEvent::RunaheadEnter { cycle: self.cycle, pc: stall_pc });
-        self.ra = Some(RaMode {
+        self.ra = Some(Episode {
             until,
             resume_pc: stall_pc,
-            regs: self.regs,
-            inv: [false; TOTAL_REGS],
-            ready_at: self.ready_at,
-            stores: HashMap::new(),
             done: false,
             discarded_at_entry: self.ra_stats.discarded_instrs,
             attr,
         });
+        // Checkpoint: runahead starts from the architectural state.
+        self.spec.regs = self.regs;
+        self.spec.inv = [false; TOTAL_REGS];
+        self.spec.ready_at = self.ready_at;
+        self.spec.stores.clear();
     }
 
     /// One cycle of runahead pre-execution. Architecturally the machine
@@ -600,7 +602,7 @@ impl<'p> Runahead<'p> {
     /// a load stall. On an idle runahead cycle (episode done, or fetch
     /// starved), the third element is the fast-forward wake hint.
     fn ra_step(&mut self, sink: &mut SinkHandle) -> (CycleClass, StallAttr, Option<u64>) {
-        let mut ra = self.ra.take().expect("in runahead mode");
+        let ra = self.ra.expect("in runahead mode");
         self.ra_stats.runahead_cycles += 1;
         let attr = ra.attr;
 
@@ -613,6 +615,7 @@ impl<'p> Runahead<'p> {
                 discarded: self.ra_stats.discarded_instrs - ra.discarded_at_entry,
             });
             self.frontend.redirect(ra.resume_pc, self.cycle + EXIT_PENALTY);
+            self.ra = None;
             return (CycleClass::LoadStall, attr, None);
         }
 
@@ -622,18 +625,17 @@ impl<'p> Runahead<'p> {
             // blocking load returns.
             wake = Some(ra.until);
         } else if self.frontend.complete_group_len().is_some() {
-            self.ra_issue(&mut ra, sink);
+            self.ra_issue(sink);
         } else {
             // Fetch-starved runahead cycle: idle until the front end
             // refills (the run loop caps the jump) or the episode ends.
             wake = Some(ra.until);
         }
-        self.ra = Some(ra);
         (CycleClass::LoadStall, attr, wake)
     }
 
     /// Issues one group speculatively under INV semantics.
-    fn ra_issue(&mut self, ra: &mut RaMode, sink: &mut SinkHandle) {
+    fn ra_issue(&mut self, sink: &mut SinkHandle) {
         let Some(group_len) = self.frontend.complete_group_len() else {
             return;
         };
@@ -659,39 +661,39 @@ impl<'p> Runahead<'p> {
             let mut poisoned = false;
             for src in d.srcs.iter() {
                 let idx = src.index();
-                if ra.inv[idx] || ra.ready_at[idx] > self.cycle {
+                if self.spec.inv[idx] || self.spec.ready_at[idx] > self.cycle {
                     poisoned = true;
                 }
             }
 
-            let effect = evaluate(&d.insn, &ra.regs);
+            let effect = evaluate(&d.insn, &self.spec.regs);
             match effect {
                 Effect::Nullified | Effect::Nop => {}
                 Effect::Write(writes) => {
                     for w in writes.iter() {
-                        ra.regs[w.reg.index()] = w.bits;
-                        ra.inv[w.reg.index()] = poisoned;
-                        ra.ready_at[w.reg.index()] = self.cycle + lat;
+                        self.spec.regs[w.reg.index()] = w.bits;
+                        self.spec.inv[w.reg.index()] = poisoned;
+                        self.spec.ready_at[w.reg.index()] = self.cycle + lat;
                     }
                 }
                 Effect::Load { addr, size, signed, dest } => {
                     if poisoned {
-                        ra.inv[dest.index()] = true;
+                        self.spec.inv[dest.index()] = true;
                     } else {
                         // The whole point: initiate the miss early.
-                        let raw = ra.read_mem(&self.mem_img, addr, size);
+                        let raw = self.spec.stores.read(&self.mem_img, addr, size);
                         let out = self.hier.load(addr);
                         let (done, _) = self.book_load(addr, out.level, out.latency, Pipe::A, sink);
                         self.mem_stats.record_load(Pipe::A, out.level, out.latency);
                         self.ra_stats.runahead_loads += 1;
-                        ra.regs[dest.index()] = load_write(raw, size, signed);
-                        ra.inv[dest.index()] = false;
-                        ra.ready_at[dest.index()] = done;
+                        self.spec.regs[dest.index()] = load_write(raw, size, signed);
+                        self.spec.inv[dest.index()] = false;
+                        self.spec.ready_at[dest.index()] = done;
                     }
                 }
                 Effect::Store { addr, size, bits } => {
                     if !poisoned {
-                        ra.write_mem(addr, size, bits);
+                        self.spec.stores.write(addr, size, bits);
                     }
                 }
                 Effect::Branch { taken, target } => {
@@ -712,7 +714,9 @@ impl<'p> Runahead<'p> {
                     }
                 }
                 Effect::Halt => {
-                    ra.done = true;
+                    if let Some(ra) = &mut self.ra {
+                        ra.done = true;
+                    }
                     break;
                 }
             }

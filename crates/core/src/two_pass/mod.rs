@@ -262,7 +262,7 @@ impl<'p> TwoPass<'p> {
     ) -> (SimReport, [u64; TOTAL_REGS], MemoryImage) {
         self.run_loop(max_instrs, &mut SinkHandle::off());
         let regs = self.b_regs;
-        let mem = self.mem_img.clone();
+        let mem = std::mem::take(&mut self.mem_img);
         (self.into_report(), regs, mem)
     }
 
@@ -279,7 +279,7 @@ impl<'p> TwoPass<'p> {
         self.run_loop(max_instrs, &mut handle);
         handle.finish();
         let regs = self.b_regs;
-        let mem = self.mem_img.clone();
+        let mem = std::mem::take(&mut self.mem_img);
         (self.into_report(), trace, regs, mem)
     }
 

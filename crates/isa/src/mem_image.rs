@@ -64,7 +64,7 @@ type PageIndex = HashMap<u64, u32, BuildHasherDefault<PageHasher>>;
 /// // Unwritten memory reads as zero.
 /// assert_eq!(mem.read_u64(0xdead_beef), 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MemoryImage {
     /// Page number -> slot in `pages`. Pages are never deallocated, so
     /// slots are stable for the lifetime of the image.
@@ -89,6 +89,14 @@ impl PartialEq for MemoryImage {
                     .get(&page)
                     .is_some_and(|&o| other.pages[o as usize] == self.pages[slot as usize])
             })
+    }
+}
+
+/// The empty memory, with the last-page cache marked empty (a derived
+/// `Default` would zero `last_slot` and make page 0 look cached).
+impl Default for MemoryImage {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -420,6 +428,29 @@ mod tests {
         let copy = mem.clone();
         assert_eq!(copy.read_u64(0x3000), 0x55AA);
         assert_eq!(copy, mem);
+    }
+
+    #[test]
+    fn default_is_the_empty_memory() {
+        // Regression: a derived `Default` set `last_slot: 0`, so the
+        // last-page cache claimed page 0 lived in slot 0 of an empty slot
+        // vector — a page-0 read indexed out of bounds and a page-0 write
+        // skipped allocating its page.
+        let mem = MemoryImage::default();
+        assert_eq!(mem, MemoryImage::new());
+        assert_eq!(mem.read_u64(0x10), 0);
+        assert_eq!(mem.read_u8(0), 0);
+        assert_eq!(mem.resident_pages(), 0);
+
+        let mut mem = MemoryImage::default();
+        assert_eq!(mem.load(0x10, 8), 0);
+        mem.write_u64(0x10, 0xABCD);
+        assert_eq!(mem.resident_pages(), 1);
+        assert_eq!(mem.read_u64(0x10), 0xABCD);
+        assert_eq!(mem.load(0x10, 8), 0xABCD);
+        let mut expected = MemoryImage::new();
+        expected.write_u64(0x10, 0xABCD);
+        assert_eq!(mem, expected);
     }
 
     #[test]
