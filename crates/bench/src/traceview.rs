@@ -2,29 +2,51 @@
 //!
 //! Everything here operates on a `Vec<TraceEvent>` loaded from the
 //! stream a [`ff_core::JsonlSink`] wrote, so analyses run without the
-//! simulator: queue-depth and MSHR occupancy distributions, per-class
+//! simulator. Occupancy samples are a step function: each
+//! [`TraceEvent::QueueSample`] holds until the next one or
+//! [`end_cycle`] (version-1 streams, sampled every cycle, are the
+//! special case where every step is one cycle long). Analyses cover
+//! queue-depth and MSHR occupancy distributions, per-class
 //! stall intervals reconstructed from [`TraceEvent::ClassTransition`],
 //! A-to-B slip and deferral run-length distributions, a Figure-4-style
 //! per-cycle ASCII snapshot, and a Chrome trace-event JSON export
 //! loadable in Perfetto (one track per pipe stage).
 
+use ff_core::sink::{TraceHeader, TRACE_FORMAT_VERSION};
 use ff_core::{CauseBreakdown, CycleClass, Histogram, Pipe, StallCause, StallProfile, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io::BufRead;
 
-/// Reads a JSONL trace, one event per line. Blank lines are skipped.
+/// Reads a JSONL trace, one event per line. Blank lines are skipped. A
+/// leading [`TraceHeader`] line names the format version; a stream
+/// without one is version 1.
 ///
 /// # Errors
 /// Returns a message naming the 1-based line that failed to read or
-/// parse.
+/// parse, or the header line of a stream this reader is too old for.
 pub fn load_events(reader: impl BufRead) -> Result<Vec<TraceEvent>, String> {
     let mut events = Vec::new();
+    let mut first = true;
     for (i, line) in reader.lines().enumerate() {
         let line = line.map_err(|e| format!("line {}: {e}", i + 1))?;
         let line = line.trim();
         if line.is_empty() {
             continue;
+        }
+        if std::mem::take(&mut first) {
+            if let Some(h) = TraceHeader::parse(line) {
+                if h.min_reader > TRACE_FORMAT_VERSION {
+                    return Err(format!(
+                        "line {}: trace format {} needs a reader of version {} or newer; \
+                         this one reads version {TRACE_FORMAT_VERSION}",
+                        i + 1,
+                        h.trace_format,
+                        h.min_reader
+                    ));
+                }
+                continue;
+            }
         }
         let e =
             ff_core::sink::parse_jsonl_line(line).map_err(|e| format!("line {}: {e}", i + 1))?;
@@ -34,7 +56,8 @@ pub fn load_events(reader: impl BufRead) -> Result<Vec<TraceEvent>, String> {
 }
 
 /// One past the last cycle any event touches (the run length when the
-/// trace covers a whole run, since models sample every cycle).
+/// trace covers a whole run, since every run closes with an occupancy
+/// sample on its final cycle).
 #[must_use]
 pub fn end_cycle(events: &[TraceEvent]) -> u64 {
     events.iter().map(TraceEvent::cycle).max().map_or(0, |c| c + 1)
@@ -66,7 +89,8 @@ pub struct TraceSummary {
     /// Cache misses initiated, by servicing level (`[L1, L2, L3, Mem]`;
     /// the L1 slot stays 0 — an L1 hit is not a miss).
     pub misses: [u64; 4],
-    /// Per-cycle occupancy samples.
+    /// Occupancy samples: one per change of `(depth, mshr)`, plus the
+    /// run's closing sample.
     pub samples: u64,
     /// Front-end instruction deliveries.
     pub fetches: u64,
@@ -354,7 +378,10 @@ pub fn render_cpi_stack(stack: &CpiStack) -> String {
 
 // ---- occupancy ---------------------------------------------------------
 
-/// Exact occupancy distributions from [`TraceEvent::QueueSample`].
+/// Exact occupancy distributions from [`TraceEvent::QueueSample`], in
+/// cycles: each sample counts for every cycle until the next one, the
+/// last until [`end_cycle`]. In a tail window (a [`ff_core::RingSink`])
+/// the distributions start at the window's first sample.
 #[derive(Debug, Clone, Default)]
 pub struct OccupancyStats {
     /// Coupling-queue depth → cycles observed at that depth.
@@ -371,22 +398,57 @@ pub struct OccupancyStats {
 #[must_use]
 pub fn occupancy(events: &[TraceEvent]) -> OccupancyStats {
     let mut o = OccupancyStats::default();
-    for e in events {
-        if let TraceEvent::QueueSample { depth, mshr, .. } = *e {
-            *o.depth.entry(depth).or_insert(0) += 1;
-            *o.mshr.entry(mshr).or_insert(0) += 1;
-            o.depth_hist.observe(u64::from(depth));
-            o.mshr_hist.observe(u64::from(mshr));
-        }
+    let mut steps = samples(events).peekable();
+    let end = end_cycle(events);
+    while let Some((cycle, depth, mshr)) = steps.next() {
+        let until = steps.peek().map_or(end, |&(next, _, _)| next);
+        let n = until.saturating_sub(cycle);
+        *o.depth.entry(depth).or_insert(0) += n;
+        *o.mshr.entry(mshr).or_insert(0) += n;
+        o.depth_hist.observe_n(u64::from(depth), n);
+        o.mshr_hist.observe_n(u64::from(mshr), n);
     }
     o
+}
+
+/// The `(cycle, depth, mshr)` of every occupancy sample, in order.
+fn samples(events: &[TraceEvent]) -> impl Iterator<Item = (u64, u32, u32)> + '_ {
+    events.iter().filter_map(|e| match *e {
+        TraceEvent::QueueSample { cycle, depth, mshr } => Some((cycle, depth, mshr)),
+        _ => None,
+    })
+}
+
+/// Expands the occupancy step function into one sample per cycle, as a
+/// version-1 stream carried it: each sample is repeated on every cycle
+/// up to the next one, placed after that cycle's other events. The
+/// result of a whole version-2 run is the version-1 stream of the same
+/// run, event for event.
+#[must_use]
+pub fn densify_samples(events: &[TraceEvent]) -> Vec<TraceEvent> {
+    let mut out = Vec::with_capacity(events.len());
+    let mut last: Option<(u64, u32, u32)> = None;
+    for &e in events {
+        // Repeat the held sample on every cycle before this event's.
+        if let Some((held, depth, mshr)) = &mut last {
+            while *held + 1 < e.cycle() {
+                *held += 1;
+                out.push(TraceEvent::QueueSample { cycle: *held, depth: *depth, mshr: *mshr });
+            }
+        }
+        if let TraceEvent::QueueSample { cycle, depth, mshr } = e {
+            last = Some((cycle, depth, mshr));
+        }
+        out.push(e);
+    }
+    out
 }
 
 // ---- slip and deferral runs --------------------------------------------
 
 /// A-to-B slip, coupling-queue residency, and deferral run-length
 /// distributions, with the bookkeeping needed to reconcile them against
-/// the per-cycle [`TraceEvent::QueueSample`] occupancy integral.
+/// the [`TraceEvent::QueueSample`] occupancy integral.
 #[derive(Debug, Clone, Default)]
 pub struct SlipStats {
     /// Cycles between an instruction's A-dispatch and its B-retire
@@ -411,8 +473,8 @@ pub struct SlipStats {
 impl SlipStats {
     /// Total queue-cycles accounted to individual instructions:
     /// dequeued residency plus partial residency of squashed and
-    /// still-enqueued entries. For a full trace this equals the sum of
-    /// the per-cycle queue-depth samples (Little's-law tie-out: the
+    /// still-enqueued entries. For a full trace this equals the
+    /// queue-depth integral of [`occupancy`] (Little's-law tie-out: the
     /// occupancy integral is exactly the per-instruction residency).
     #[must_use]
     pub fn accounted_queue_cycles(&self) -> u64 {
@@ -863,13 +925,15 @@ pub fn konata(events: &[TraceEvent]) -> String {
 /// (`*` = deferred), what the B-pipe retired (`!` = B-executed),
 /// coupling-queue/MSHR occupancy, the cycle's class, and control events
 /// (flushes, redirects, miss completions, runahead boundaries).
+///
+/// Every traced cycle of the window gets a row, with the occupancy of
+/// the latest sample at or before it (`-` before the first sample).
 #[must_use]
 pub fn snapshot(events: &[TraceEvent], start: u64, end: u64) -> String {
     #[derive(Default)]
     struct Row {
         a: Vec<String>,
         b: Vec<String>,
-        sample: Option<(u32, u32)>,
         notes: Vec<String>,
     }
     let mut rows: BTreeMap<u64, Row> = BTreeMap::new();
@@ -887,7 +951,6 @@ pub fn snapshot(events: &[TraceEvent], start: u64, end: u64) -> String {
             TraceEvent::BRetire { pc, was_deferred, .. } => {
                 row.b.push(format!("{pc}{}", if was_deferred { "!" } else { "" }));
             }
-            TraceEvent::QueueSample { depth, mshr, .. } => row.sample = Some((depth, mshr)),
             TraceEvent::Flush { kind, boundary_seq, .. } => {
                 row.notes.push(format!("FLUSH {} >{boundary_seq}", kind.label()));
             }
@@ -904,6 +967,7 @@ pub fn snapshot(events: &[TraceEvent], start: u64, end: u64) -> String {
             TraceEvent::GroupDispatch { .. }
             | TraceEvent::ClassTransition { .. }
             | TraceEvent::CauseTransition { .. }
+            | TraceEvent::QueueSample { .. }
             | TraceEvent::Fetch { .. }
             | TraceEvent::AExec { .. }
             | TraceEvent::Defer { .. }
@@ -929,20 +993,30 @@ pub fn snapshot(events: &[TraceEvent], start: u64, end: u64) -> String {
         "{:>8}  {:<11} {:>3} {:>4}  {:<24} {:<24} notes",
         "cycle", "class", "cq", "mshr", "A dispatch (pc)", "B retire (pc)"
     );
-    for (cycle, row) in &rows {
-        let (cq, mshr) = row
-            .sample
+    // Rows run from the first traced cycle (a tail window may start
+    // late) to the end of the trace, clipped to the window.
+    let first = events.iter().map(TraceEvent::cycle).min().unwrap_or(0);
+    let cycles = start.max(first)..end.min(end_cycle(events));
+    let mut steps = samples(events).peekable();
+    let mut held = None;
+    let empty = Row::default();
+    for cycle in cycles.clone() {
+        while let Some((_, depth, mshr)) = steps.next_if(|&(c, _, _)| c <= cycle) {
+            held = Some((depth, mshr));
+        }
+        let (cq, mshr) = held
             .map_or(("-".to_string(), "-".to_string()), |(d, m)| (d.to_string(), m.to_string()));
+        let row = rows.get(&cycle).unwrap_or(&empty);
         let _ = writeln!(
             out,
             "{cycle:>8}  {:<11} {cq:>3} {mshr:>4}  {:<24} {:<24} {}",
-            class_at(*cycle),
+            class_at(cycle),
             row.a.join(","),
             row.b.join(","),
             row.notes.join("; ")
         );
     }
-    if rows.is_empty() {
+    if cycles.is_empty() {
         let _ = writeln!(out, "(no events in window)");
     }
     out
@@ -1319,7 +1393,9 @@ mod tests {
         let s = summarize(&events);
         assert_eq!(s.retires, report.retired);
         assert_eq!(s.class_cycles, totals);
-        assert_eq!(s.samples, report.cycles);
+        // Samples are change-driven; expanded back to one per cycle they
+        // cover the run exactly.
+        assert_eq!(summarize(&densify_samples(&events)).samples, report.cycles);
     }
 
     #[test]
@@ -1449,8 +1525,8 @@ mod tests {
         let events = load_events(BufReader::new(bytes.as_slice())).unwrap();
         let text = snapshot(&events, 0, 40);
         assert!(text.contains("cycle"));
-        // Every cycle in the window has a queue sample, so rows exist.
-        assert!(text.lines().count() > 10, "snapshot too short:\n{text}");
+        // Every cycle in the window gets a row, below two header lines.
+        assert_eq!(text.lines().count(), 42, "snapshot rows:\n{text}");
         let empty = snapshot(&events, u64::MAX - 10, u64::MAX);
         assert!(empty.contains("no events"));
     }
@@ -1563,6 +1639,43 @@ mod tests {
         let text = "not json\n";
         let err = load_events(BufReader::new(text.as_bytes())).unwrap_err();
         assert!(err.starts_with("line 1:"), "{err}");
+    }
+
+    #[test]
+    fn load_reads_headerless_streams_and_rejects_newer_formats() {
+        let event = r#"{"QueueSample":{"cycle":0,"depth":1,"mshr":2}}"#;
+        let want = vec![TraceEvent::QueueSample { cycle: 0, depth: 1, mshr: 2 }];
+        // Version 1: no header.
+        assert_eq!(load_events(format!("{event}\n").as_bytes()).unwrap(), want);
+        // A newer format this reader can still read.
+        let compatible = format!("{{\"trace_format\":3,\"min_reader\":2}}\n{event}\n");
+        assert_eq!(load_events(compatible.as_bytes()).unwrap(), want);
+        // One that needs a newer reader fails on its header line.
+        let newer = format!("\n{{\"trace_format\":3,\"min_reader\":3}}\n{event}\n");
+        let err = load_events(newer.as_bytes()).unwrap_err();
+        assert!(err.starts_with("line 2:") && err.contains("version 3"), "{err}");
+    }
+
+    #[test]
+    fn occupancy_reads_samples_as_a_step_function() {
+        let q = |cycle, depth, mshr| TraceEvent::QueueSample { cycle, depth, mshr };
+        let sparse = vec![
+            q(0, 0, 1),
+            TraceEvent::MissEnd { cycle: 3, addr: 0, level: ff_mem::MemLevel::L2 },
+            q(4, 2, 0),
+            q(9, 2, 0),
+        ];
+        let dense = densify_samples(&sparse);
+        assert_eq!(dense.len(), 11, "ten per-cycle samples plus the miss");
+        assert_eq!(
+            dense[2..5],
+            [q(2, 0, 1), sparse[1], q(3, 0, 1)],
+            "held samples follow their cycle's events"
+        );
+        let (o, od) = (occupancy(&sparse), occupancy(&dense));
+        assert_eq!(o.depth, BTreeMap::from([(0, 4), (2, 6)]));
+        assert_eq!(o.mshr, BTreeMap::from([(0, 6), (1, 4)]));
+        assert_eq!((o.depth, o.mshr, o.depth_hist), (od.depth, od.mshr, od.depth_hist));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use crate::config::MachineConfig;
 use crate::decoded::DecodedProgram;
 use crate::exec_common::fitting_prefix_classes;
 use crate::frontend::{Frontend, FrontendConfig};
+use crate::replay::TraceReplay;
 use crate::report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport};
 use crate::sink::{SinkHandle, TraceSink};
 use crate::trace::{Trace, TraceEvent};
@@ -70,9 +71,8 @@ pub struct Baseline<'p> {
     cycle: u64,
     retired: u64,
     halted: bool,
-    /// In-flight fills awaiting a `MissEnd` event, as `(fill_at, addr,
-    /// level)`. Populated only while a trace sink is attached.
-    pending_misses: Vec<(u64, u64, MemLevel)>,
+    /// Booked fills and last emitted transitions/sample, for tracing.
+    trace: TraceReplay,
     breakdown: CycleBreakdown,
     breakdown2: CauseBreakdown,
     profile: StallProfile,
@@ -110,7 +110,7 @@ impl<'p> Baseline<'p> {
             cycle: 0,
             retired: 0,
             halted: false,
-            pending_misses: Vec::new(),
+            trace: TraceReplay::new(),
             breakdown: CycleBreakdown::new(),
             breakdown2: CauseBreakdown::new(),
             profile: StallProfile::new(),
@@ -375,16 +375,7 @@ impl<'p> Baseline<'p> {
             };
         }
         let fill_at = self.mshrs.request(self.cycle, line, done, level).unwrap_or(done).max(done);
-        if sink.is_on() {
-            sink.emit_with(|| TraceEvent::MissBegin {
-                cycle: self.cycle,
-                pipe: Pipe::B,
-                level,
-                addr,
-                fill_at,
-            });
-            self.pending_misses.push((fill_at, addr, level));
-        }
+        self.trace.miss_begin(sink, self.cycle, Pipe::B, level, addr, fill_at);
         (fill_at, level)
     }
 
@@ -441,24 +432,8 @@ impl<'p> Baseline<'p> {
         report
     }
 
-    /// Emits `MissEnd` for every booked fill that has completed.
-    fn drain_pending_misses(&mut self, sink: &mut SinkHandle) {
-        let now = self.cycle;
-        let mut i = 0;
-        while i < self.pending_misses.len() {
-            if self.pending_misses[i].0 <= now {
-                let (fill_at, addr, level) = self.pending_misses.swap_remove(i);
-                sink.emit_with(|| TraceEvent::MissEnd { cycle: fill_at, addr, level });
-            } else {
-                i += 1;
-            }
-        }
-    }
-
     fn run_loop(&mut self, max_instrs: u64, sink: &mut SinkHandle) {
         let cycle_cap = max_instrs.saturating_mul(500).max(1_000_000);
-        let mut last_class: Option<CycleClass> = None;
-        let mut last_attr: Option<StallAttr> = None;
         while !self.halted && self.retired < max_instrs {
             assert!(
                 self.cycle < cycle_cap,
@@ -468,7 +443,7 @@ impl<'p> Baseline<'p> {
             );
             self.frontend.tick(self.cycle);
             if sink.is_on() {
-                self.drain_pending_misses(sink);
+                self.trace.drain_misses(self.cycle, sink);
             }
             let (class, attr, wake) = self.step_issue(sink);
             self.breakdown.charge(class);
@@ -477,28 +452,8 @@ impl<'p> Baseline<'p> {
                 self.profile.record(pc, attr.cause);
             }
             if sink.is_on() {
-                if last_class != Some(class) {
-                    let from = last_class.unwrap_or(class);
-                    sink.emit_with(|| TraceEvent::ClassTransition {
-                        cycle: self.cycle,
-                        from,
-                        to: class,
-                    });
-                    last_class = Some(class);
-                }
-                if last_attr != Some(attr) {
-                    sink.emit_with(|| TraceEvent::CauseTransition {
-                        cycle: self.cycle,
-                        cause: attr.cause,
-                        pc: attr.pc.map(|p| p as u64),
-                    });
-                    last_attr = Some(attr);
-                }
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: self.cycle,
-                    depth: 0,
-                    mshr: self.mshrs.outstanding(self.cycle) as u32,
-                });
+                let mshr = self.mshrs.outstanding(self.cycle) as u32;
+                self.trace.end_cycle(self.cycle, class, attr, 0, mshr, sink);
             }
             self.cycle += 1;
             if self.frontend.is_drained()
@@ -511,13 +466,15 @@ impl<'p> Baseline<'p> {
                 self.fast_forward(class, attr, wake, sink);
             }
         }
+        self.trace.close(self.cycle, sink);
     }
 
     /// Event-driven fast-forward: having just charged a stall cycle with
     /// wake hint `wake`, jump the clock across the provably identical
     /// stall span `[self.cycle, target)`, bulk-charging the attribution
-    /// and replaying the per-cycle trace stream so results are
-    /// byte-identical to ticking every cycle.
+    /// and replaying the span's trace output (see
+    /// [`TraceReplay::replay_span`]) so results are byte-identical to
+    /// ticking every cycle.
     fn fast_forward(
         &mut self,
         class: CycleClass,
@@ -552,21 +509,7 @@ impl<'p> Baseline<'p> {
         if let Some(pc) = attr.pc {
             self.profile.record_n(pc, attr.cause, span);
         }
-        if sink.is_on() {
-            // Replay the skipped cycles' trace output exactly: the class
-            // and cause are unchanged (no transitions fire), so each
-            // cycle contributes its completed-fill events and its
-            // occupancy sample, in per-cycle order.
-            for c in self.cycle..target {
-                self.cycle = c;
-                self.drain_pending_misses(sink);
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: c,
-                    depth: 0,
-                    mshr: self.mshrs.outstanding(c) as u32,
-                });
-            }
-        }
+        self.trace.replay_span(self.cycle, target, 0, &self.mshrs, sink);
         self.cycle = target;
     }
 

@@ -26,6 +26,7 @@ pub mod decoded;
 pub mod exec_common;
 pub mod frontend;
 pub mod metrics;
+pub mod replay;
 pub mod report;
 pub mod runahead;
 pub mod sink;
@@ -47,6 +48,6 @@ pub use report::{
     BranchStats, MemAccessStats, ModelKind, Pipe, SimReport, TwoPassStats, REPORT_SCHEMA_VERSION,
 };
 pub use runahead::{Runahead, RunaheadStats};
-pub use sink::{parse_jsonl_line, JsonlSink, RingSink, SinkHandle, TraceSink};
+pub use sink::{parse_jsonl_line, JsonlSink, RingSink, SinkHandle, TraceHeader, TraceSink};
 pub use trace::{FlushKind, Trace, TraceEvent};
 pub use two_pass::TwoPass;

@@ -22,6 +22,7 @@ use crate::config::MachineConfig;
 use crate::decoded::DecodedProgram;
 use crate::exec_common::fitting_prefix_classes;
 use crate::frontend::{Frontend, FrontendConfig};
+use crate::replay::TraceReplay;
 use crate::report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport};
 use crate::sink::{SinkHandle, TraceSink};
 use crate::trace::{Trace, TraceEvent};
@@ -83,9 +84,8 @@ pub struct Runahead<'p> {
     cycle: u64,
     retired: u64,
     halted: bool,
-    /// In-flight fills awaiting a `MissEnd` event, as `(fill_at, addr,
-    /// level)`. Populated only while a trace sink is attached.
-    pending_misses: Vec<(u64, u64, MemLevel)>,
+    /// Booked fills and last emitted transitions/sample, for tracing.
+    trace: TraceReplay,
     breakdown: CycleBreakdown,
     /// Refined per-cause accounting (collapses onto `breakdown`).
     breakdown2: CauseBreakdown,
@@ -164,7 +164,7 @@ impl<'p> Runahead<'p> {
             cycle: 0,
             retired: 0,
             halted: false,
-            pending_misses: Vec::new(),
+            trace: TraceReplay::new(),
             breakdown: CycleBreakdown::new(),
             breakdown2: CauseBreakdown::new(),
             profile: StallProfile::new(),
@@ -241,8 +241,6 @@ impl<'p> Runahead<'p> {
 
     fn run_loop(&mut self, max_instrs: u64, sink: &mut SinkHandle) {
         let cycle_cap = max_instrs.saturating_mul(500).max(1_000_000);
-        let mut last_class: Option<CycleClass> = None;
-        let mut last_attr: Option<StallAttr> = None;
         while !self.halted && self.retired < max_instrs {
             assert!(
                 self.cycle < cycle_cap,
@@ -252,7 +250,7 @@ impl<'p> Runahead<'p> {
             );
             self.frontend.tick(self.cycle);
             if sink.is_on() {
-                self.drain_pending_misses(sink);
+                self.trace.drain_misses(self.cycle, sink);
             }
             let (class, attr, wake) =
                 if self.ra.is_some() { self.ra_step(sink) } else { self.normal_step(sink) };
@@ -262,28 +260,8 @@ impl<'p> Runahead<'p> {
                 self.profile.record(pc, attr.cause);
             }
             if sink.is_on() {
-                if last_class != Some(class) {
-                    let from = last_class.unwrap_or(class);
-                    sink.emit_with(|| TraceEvent::ClassTransition {
-                        cycle: self.cycle,
-                        from,
-                        to: class,
-                    });
-                    last_class = Some(class);
-                }
-                if last_attr != Some(attr) {
-                    sink.emit_with(|| TraceEvent::CauseTransition {
-                        cycle: self.cycle,
-                        cause: attr.cause,
-                        pc: attr.pc.map(|p| p as u64),
-                    });
-                    last_attr = Some(attr);
-                }
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: self.cycle,
-                    depth: 0,
-                    mshr: self.mshrs.outstanding(self.cycle) as u32,
-                });
+                let mshr = self.mshrs.outstanding(self.cycle) as u32;
+                self.trace.end_cycle(self.cycle, class, attr, 0, mshr, sink);
             }
             self.cycle += 1;
             if self.ra.is_none()
@@ -297,6 +275,7 @@ impl<'p> Runahead<'p> {
                 self.fast_forward(class, attr, wake, sink);
             }
         }
+        self.trace.close(self.cycle, sink);
     }
 
     /// Event-driven fast-forward across a provably identical idle span
@@ -335,32 +314,8 @@ impl<'p> Runahead<'p> {
         if self.ra.is_some() {
             self.ra_stats.runahead_cycles += span;
         }
-        if sink.is_on() {
-            for c in self.cycle..target {
-                self.cycle = c;
-                self.drain_pending_misses(sink);
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: c,
-                    depth: 0,
-                    mshr: self.mshrs.outstanding(c) as u32,
-                });
-            }
-        }
+        self.trace.replay_span(self.cycle, target, 0, &self.mshrs, sink);
         self.cycle = target;
-    }
-
-    /// Emits `MissEnd` for every booked fill that has completed.
-    fn drain_pending_misses(&mut self, sink: &mut SinkHandle) {
-        let now = self.cycle;
-        let mut i = 0;
-        while i < self.pending_misses.len() {
-            if self.pending_misses[i].0 <= now {
-                let (fill_at, addr, level) = self.pending_misses.swap_remove(i);
-                sink.emit_with(|| TraceEvent::MissEnd { cycle: fill_at, addr, level });
-            } else {
-                i += 1;
-            }
-        }
     }
 
     /// Refined attribution for a front-end stall cycle: an in-progress
@@ -750,16 +705,7 @@ impl<'p> Runahead<'p> {
             };
         }
         let fill_at = self.mshrs.request(self.cycle, line, done, level).unwrap_or(done).max(done);
-        if sink.is_on() {
-            sink.emit_with(|| TraceEvent::MissBegin {
-                cycle: self.cycle,
-                pipe,
-                level,
-                addr,
-                fill_at,
-            });
-            self.pending_misses.push((fill_at, addr, level));
-        }
+        self.trace.miss_begin(sink, self.cycle, pipe, level, addr, fill_at);
         (fill_at, level)
     }
 

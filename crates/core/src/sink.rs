@@ -5,11 +5,12 @@
 //! events. [`TraceSink`] decouples event *production* (the models)
 //! from *retention policy*:
 //!
-//! * [`Trace`] — keep everything in memory (analysis helpers).
+//! * [`Trace`] — keep everything in memory (unit tests, short windows).
 //! * [`RingSink`] — keep only the last `capacity` events, O(1) memory.
 //! * [`JsonlSink`] — stream every event as one JSON line to any
-//!   [`std::io::Write`], O(1) memory; the `ff-trace` tool reads this
-//!   format back.
+//!   [`std::io::Write`], O(1) memory, after a [`TraceHeader`] line
+//!   naming the format version; the `ff-trace` tool reads this format
+//!   back.
 //!
 //! Models never see a sink directly; they receive a [`SinkHandle`],
 //! which is `None`-cheap when tracing is off: every probe site is
@@ -17,8 +18,46 @@
 //! its event construction) runs.
 
 use crate::trace::{Trace, TraceEvent};
+use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::io;
+
+/// Version of the JSONL trace format [`JsonlSink`] writes.
+///
+/// * 1 — no header line; every cycle carries a
+///   [`TraceEvent::QueueSample`].
+/// * 2 — a [`TraceHeader`] first line; samples are emitted only when
+///   `(depth, mshr)` changes, plus a closing sample on the run's final
+///   cycle, so they read as a step function. A version-1 stream is the
+///   special case that changes every cycle, so version-2 readers read
+///   both.
+pub const TRACE_FORMAT_VERSION: u32 = 2;
+
+/// The first line of a versioned JSONL trace: the format version the
+/// stream was written in, and the oldest reader version that can read
+/// it. A reader of version `r` accepts a stream iff `min_reader <= r`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TraceHeader {
+    /// Format version of the stream.
+    pub trace_format: u32,
+    /// Oldest reader version able to read it.
+    pub min_reader: u32,
+}
+
+impl TraceHeader {
+    /// The header [`JsonlSink`] writes. Its stream needs a version-2
+    /// reader: a version-1 reader would count each sparse sample as one
+    /// cycle.
+    pub const CURRENT: TraceHeader =
+        TraceHeader { trace_format: TRACE_FORMAT_VERSION, min_reader: 2 };
+
+    /// Parses `line` as a header, or `None` if it is not one (an event
+    /// line, or a headerless version-1 stream's first event).
+    #[must_use]
+    pub fn parse(line: &str) -> Option<TraceHeader> {
+        serde_json::from_str(line).ok()
+    }
+}
 
 /// A consumer of pipeline trace events.
 pub trait TraceSink {
@@ -79,7 +118,7 @@ impl RingSink {
     }
 
     /// Drains the retained window into an owned [`Trace`] for the
-    /// analysis helpers (`timeline`, Display).
+    /// analysis helpers (Display, `ff_bench::traceview`).
     #[must_use]
     pub fn into_trace(self) -> Trace {
         let mut t = Trace::new();
@@ -100,7 +139,8 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Streams each event as one JSON object per line (JSONL).
+/// Streams each event as one JSON object per line (JSONL), after one
+/// [`TraceHeader::CURRENT`] line.
 ///
 /// Each event is serialized by [`serde::Serialize::write_json`] into a
 /// line buffer the sink keeps for its lifetime, then handed to an
@@ -127,13 +167,18 @@ pub struct JsonlSink<W: io::Write> {
 }
 
 impl<W: io::Write> JsonlSink<W> {
-    /// Wraps a writer. Lines are flushed on [`TraceSink::finish`] and
-    /// on drop.
+    /// Wraps a writer and writes the [`TraceHeader`] line. Lines are
+    /// flushed on [`TraceSink::finish`] and on drop.
     pub fn new(out: W) -> Self {
-        Self { out: Some(io::BufWriter::new(out)), line: String::new(), written: 0, errored: false }
+        use io::Write as _;
+        let mut out = io::BufWriter::new(out);
+        let header = serde_json::to_string(&TraceHeader::CURRENT).expect("header serializes");
+        let errored = writeln!(out, "{header}").is_err();
+        Self { out: Some(out), line: String::new(), written: 0, errored }
     }
 
-    /// Number of events handed to the writer.
+    /// Number of events handed to the writer (the header line is not
+    /// an event).
     #[must_use]
     pub fn written(&self) -> u64 {
         self.written
@@ -362,8 +407,18 @@ mod tests {
         assert!(!sink.errored());
         let bytes = sink.into_inner().unwrap();
         let text = String::from_utf8(bytes).unwrap();
-        let parsed: Vec<TraceEvent> = text.lines().map(|l| parse_jsonl_line(l).unwrap()).collect();
+        let mut lines = text.lines();
+        assert_eq!(lines.next().and_then(TraceHeader::parse), Some(TraceHeader::CURRENT));
+        let parsed: Vec<TraceEvent> = lines.map(|l| parse_jsonl_line(l).unwrap()).collect();
         assert_eq!(parsed, events);
+    }
+
+    #[test]
+    fn header_line_is_pinned_and_is_not_an_event() {
+        let text = String::from_utf8(JsonlSink::new(Vec::new()).into_inner().unwrap()).unwrap();
+        assert_eq!(text, "{\"trace_format\":2,\"min_reader\":2}\n");
+        assert!(parse_jsonl_line(text.trim_end()).is_err());
+        assert_eq!(TraceHeader::parse(&serde_json::to_string(&ev(1)).unwrap()), None);
     }
 
     /// A writer whose backing store outlives the sink, to observe what
@@ -395,8 +450,8 @@ mod tests {
         }
         // Dropping the sink (no finish, no into_inner) flushed the tail.
         let text = String::from_utf8(shared.0.borrow().clone()).unwrap();
-        assert_eq!(text.lines().count(), 1);
-        let parsed = parse_jsonl_line(text.lines().next().unwrap()).unwrap();
+        assert_eq!(text.lines().count(), 2, "header plus one event");
+        let parsed = parse_jsonl_line(text.lines().nth(1).unwrap()).unwrap();
         assert_eq!(parsed, ev(1));
     }
 
@@ -406,7 +461,7 @@ mod tests {
         let mut sink = JsonlSink::new(shared.clone());
         sink.emit(ev(7));
         sink.finish();
-        assert_eq!(String::from_utf8(shared.0.borrow().clone()).unwrap().lines().count(), 1);
+        assert_eq!(String::from_utf8(shared.0.borrow().clone()).unwrap().lines().count(), 2);
     }
 
     /// A writer whose every `write` and `flush` fails.

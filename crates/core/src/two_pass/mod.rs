@@ -33,6 +33,7 @@ use crate::config::{FeedbackLatency, MachineConfig};
 use crate::decoded::DecodedProgram;
 use crate::exec_common::fitting_prefix_classes;
 use crate::frontend::{FetchedInsn, Frontend, FrontendConfig};
+use crate::replay::TraceReplay;
 use crate::report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport, TwoPassStats};
 use crate::sink::{SinkHandle, TraceSink};
 use crate::trace::{FlushKind, Trace, TraceEvent};
@@ -149,9 +150,8 @@ pub struct TwoPass<'p> {
     defer_window: std::collections::VecDeque<bool>,
     /// Whether the throttle currently holds the A-pipe.
     throttled: bool,
-    /// In-flight fills awaiting a `MissEnd` event, as `(fill_at, addr,
-    /// level)`. Populated only while a trace sink is attached.
-    pending_misses: Vec<(u64, u64, MemLevel)>,
+    /// Booked fills and last emitted transitions/sample, for tracing.
+    trace: TraceReplay,
     breakdown: CycleBreakdown,
     /// Refined per-cause accounting (collapses onto `breakdown`).
     breakdown2: CauseBreakdown,
@@ -205,7 +205,7 @@ impl<'p> TwoPass<'p> {
             deferred_stores_in_cq: 0,
             defer_window: std::collections::VecDeque::new(),
             throttled: false,
-            pending_misses: Vec::new(),
+            trace: TraceReplay::new(),
             breakdown: CycleBreakdown::new(),
             breakdown2: CauseBreakdown::new(),
             profile: StallProfile::new(),
@@ -287,8 +287,6 @@ impl<'p> TwoPass<'p> {
         // A forward-progress guard: any livelock is a simulator bug and
         // must surface as a panic, not a hang.
         let cycle_cap = max_instrs.saturating_mul(500).max(1_000_000);
-        let mut last_class: Option<CycleClass> = None;
-        let mut last_attr: Option<StallAttr> = None;
         while !self.halted && self.retired < max_instrs {
             assert!(
                 self.cycle < cycle_cap,
@@ -302,7 +300,7 @@ impl<'p> TwoPass<'p> {
             self.frontend.tick(self.cycle);
             self.apply_feedback();
             if sink.is_on() {
-                self.drain_pending_misses(sink);
+                self.trace.drain_misses(self.cycle, sink);
             }
             let (class, attr, b_wake) = self.b_step(sink);
             #[cfg(feature = "audit")]
@@ -324,28 +322,9 @@ impl<'p> TwoPass<'p> {
             self.stats.queue_occupancy_sum += self.cq.len() as u64;
             self.stats.queue_depth_hist.observe(self.cq.len() as u64);
             if sink.is_on() {
-                if last_class != Some(class) {
-                    let from = last_class.unwrap_or(class);
-                    sink.emit_with(|| TraceEvent::ClassTransition {
-                        cycle: self.cycle,
-                        from,
-                        to: class,
-                    });
-                    last_class = Some(class);
-                }
-                if last_attr != Some(attr) {
-                    sink.emit_with(|| TraceEvent::CauseTransition {
-                        cycle: self.cycle,
-                        cause: attr.cause,
-                        pc: attr.pc.map(|p| p as u64),
-                    });
-                    last_attr = Some(attr);
-                }
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: self.cycle,
-                    depth: self.cq.len() as u32,
-                    mshr: self.mshrs.outstanding(self.cycle) as u32,
-                });
+                let (depth, mshr) =
+                    (self.cq.len() as u32, self.mshrs.outstanding(self.cycle) as u32);
+                self.trace.end_cycle(self.cycle, class, attr, depth, mshr, sink);
             }
             self.cycle += 1;
             if self.frontend.is_drained() && self.cq.is_empty() && !self.halted {
@@ -355,6 +334,7 @@ impl<'p> TwoPass<'p> {
                 self.fast_forward(class, attr, b_wake, a_idle, sink);
             }
         }
+        self.trace.close(self.cycle, sink);
     }
 
     /// Event-driven fast-forward: with the B-pipe stalled (with a known
@@ -412,36 +392,10 @@ impl<'p> TwoPass<'p> {
             AIdle::QueueFull => self.stats.queue_full_cycles += span,
             _ => {}
         }
-        if sink.is_on() {
-            // Replay the per-cycle trace stream for the span: fills that
-            // complete mid-span emit `MissEnd` at their true cycles, and
-            // the queue/MSHR occupancy samples keep their 1 Hz cadence.
-            // Class/cause transitions cannot fire (the stall is constant).
-            for c in self.cycle..target {
-                self.cycle = c;
-                self.drain_pending_misses(sink);
-                sink.emit_with(|| TraceEvent::QueueSample {
-                    cycle: c,
-                    depth: depth as u32,
-                    mshr: self.mshrs.outstanding(c) as u32,
-                });
-            }
-        }
+        // Fills that complete mid-span emit `MissEnd` at their true
+        // cycles, and an occupancy sample marks each MSHR change.
+        self.trace.replay_span(self.cycle, target, depth as u32, &self.mshrs, sink);
         self.cycle = target;
-    }
-
-    /// Emits `MissEnd` for every booked fill that has completed.
-    fn drain_pending_misses(&mut self, sink: &mut SinkHandle) {
-        let now = self.cycle;
-        let mut i = 0;
-        while i < self.pending_misses.len() {
-            if self.pending_misses[i].0 <= now {
-                let (fill_at, addr, level) = self.pending_misses.swap_remove(i);
-                sink.emit_with(|| TraceEvent::MissEnd { cycle: fill_at, addr, level });
-            } else {
-                i += 1;
-            }
-        }
     }
 
     fn into_report(mut self) -> SimReport {
@@ -969,16 +923,7 @@ impl<'p> TwoPass<'p> {
             };
         }
         let fill_at = self.mshrs.request(self.cycle, line, done, level).unwrap_or(done).max(done);
-        if sink.is_on() {
-            sink.emit_with(|| TraceEvent::MissBegin {
-                cycle: self.cycle,
-                pipe,
-                level,
-                addr,
-                fill_at,
-            });
-            self.pending_misses.push((fill_at, addr, level));
-        }
+        self.trace.miss_begin(sink, self.cycle, pipe, level, addr, fill_at);
         (fill_at, level)
     }
 

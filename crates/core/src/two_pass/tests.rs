@@ -541,15 +541,25 @@ fn run_traced_records_the_instruction_lifecycle() {
     let (report, trace) = TwoPass::new(&program, mem, cfg()).run_traced(10_000);
     assert!(!trace.is_empty());
     // Every retired instruction has a BRetire event.
-    let retires = trace
-        .events()
-        .iter()
-        .filter(|e| matches!(e, crate::trace::TraceEvent::BRetire { .. }))
-        .count() as u64;
+    let retires =
+        trace.events().iter().filter(|e| matches!(e, TraceEvent::BRetire { .. })).count() as u64;
     assert_eq!(retires, report.retired);
-    // The timeline renders dispatch->retire spans for the first group.
-    let text = trace.timeline(0..8);
-    assert!(text.contains("executed") || text.contains("deferred"), "{text}");
+    // The first group's instructions each dispatch, then retire no
+    // earlier than their dispatch cycle.
+    for seq in 0..8 {
+        let dispatch = trace.events().iter().find_map(|e| match *e {
+            TraceEvent::ADispatch { cycle, seq: s, .. } if s == seq => Some(cycle),
+            _ => None,
+        });
+        let retire = trace.events().iter().find_map(|e| match *e {
+            TraceEvent::BRetire { cycle, seq: s, .. } if s == seq => Some(cycle),
+            _ => None,
+        });
+        let (Some(d), Some(r)) = (dispatch, retire) else {
+            panic!("seq {seq}: dispatch {dispatch:?}, retire {retire:?}")
+        };
+        assert!(d <= r, "seq {seq} retired at {r}, before its dispatch at {d}");
+    }
 }
 
 #[test]
@@ -607,7 +617,7 @@ fn slip_and_queue_depth_histograms_are_consistent() {
 
 #[test]
 fn ring_and_jsonl_sinks_capture_a_real_run() {
-    use crate::sink::{parse_jsonl_line, JsonlSink, RingSink};
+    use crate::sink::{parse_jsonl_line, JsonlSink, RingSink, TraceHeader};
     let (program, mem) = stream(16, 4096);
     let mut ring = RingSink::new(64);
     let report = TwoPass::new(&program, mem.clone(), cfg()).run_with_sink(10_000, &mut ring);
@@ -621,8 +631,11 @@ fn ring_and_jsonl_sinks_capture_a_real_run() {
     let written = jsonl.written();
     let bytes = jsonl.into_inner().unwrap();
     let text = String::from_utf8(bytes).unwrap();
-    assert_eq!(text.lines().count() as u64, written);
-    for line in text.lines() {
-        parse_jsonl_line(line).expect("every emitted line parses back");
+    // The header line leads the stream and is not counted as an event.
+    let mut lines = text.lines();
+    assert_eq!(lines.next().and_then(TraceHeader::parse), Some(TraceHeader::CURRENT));
+    assert_eq!(lines.clone().count() as u64, written);
+    for line in lines {
+        parse_jsonl_line(line).expect("every emitted event line parses back");
     }
 }

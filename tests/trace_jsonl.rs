@@ -4,16 +4,19 @@
 //! [`JsonlSink`] writes, so the serialized form of each [`TraceEvent`]
 //! is pinned here: one golden line per variant and per enum value the
 //! variant carries (with `pc: None`/`Some` and `u64::MAX`/`usize::MAX`
-//! extremes), plus FNV-1a hashes of two whole tiny-scale traces. A diff
-//! here is a trace format change, never an optimization side effect.
+//! extremes), plus FNV-1a hashes of two whole tiny-scale traces, both as
+//! written (format version 2) and re-expanded to the version-1 stream
+//! that sampled occupancy every cycle. A diff here is a trace format
+//! change, never an optimization side effect.
 //!
 //! Re-bless `tests/golden/trace_events.jsonl` (only for a deliberate
 //! format change) with
 //! `FF_BLESS_TRACE_JSONL=1 cargo test --test trace_jsonl`.
 
+use ff_bench::traceview::{densify_samples, load_events};
 use fleaflicker::core::{
     parse_jsonl_line, CycleClass, FlushKind, JsonlSink, MachineConfig, Pipe, Runahead, SimReport,
-    StallCause, TraceEvent, TraceSink, TwoPass,
+    StallCause, TraceEvent, TraceHeader, TraceSink, TwoPass,
 };
 use fleaflicker::mem::MemLevel;
 use fleaflicker::workloads::{benchmark_by_name, Scale, Workload};
@@ -135,6 +138,8 @@ fn pinned_events() -> Vec<TraceEvent> {
     out
 }
 
+/// The event lines `JsonlSink` writes for `events`; its header line is
+/// checked and stripped.
 fn to_jsonl(events: &[TraceEvent]) -> String {
     let mut sink = JsonlSink::new(Vec::new());
     for &e in events {
@@ -143,7 +148,10 @@ fn to_jsonl(events: &[TraceEvent]) -> String {
     sink.finish();
     assert!(!sink.errored());
     assert_eq!(sink.written(), events.len() as u64);
-    String::from_utf8(sink.into_inner().unwrap()).unwrap()
+    let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+    let (header, body) = text.split_once('\n').unwrap();
+    assert_eq!(TraceHeader::parse(header), Some(TraceHeader::CURRENT));
+    body.to_string()
 }
 
 #[test]
@@ -194,7 +202,21 @@ fn whole_tiny_traces_hash_to_their_pinned_values() {
     let got = [(mcf.len(), fnv1a64(&mcf)), (vpr.len(), fnv1a64(&vpr))];
     assert_eq!(
         got,
-        [(1_337_498, 0xfdc9_4fd5_cf23_dd2a), (524_439, 0x456b_462f_e24a_83be)],
+        [(441_266, 0x2a24_643e_d086_0deb), (388_918, 0xa359_c8ce_279f_a859)],
         "mcf-like 2P / vpr-like runahead JSONL (bytes, FNV-1a)"
+    );
+    // Nothing was lost: expanding the occupancy step function back to
+    // one sample per cycle reproduces the version-1 stream (no header)
+    // byte for byte.
+    let dense = |bytes: &[u8]| {
+        let events = load_events(bytes).unwrap();
+        to_jsonl(&densify_samples(&events)).into_bytes()
+    };
+    let (mcf, vpr) = (dense(&mcf), dense(&vpr));
+    let got = [(mcf.len(), fnv1a64(&mcf)), (vpr.len(), fnv1a64(&vpr))];
+    assert_eq!(
+        got,
+        [(1_337_498, 0xfdc9_4fd5_cf23_dd2a), (524_439, 0x456b_462f_e24a_83be)],
+        "mcf-like 2P / vpr-like runahead re-densified JSONL (bytes, FNV-1a)"
     );
 }
