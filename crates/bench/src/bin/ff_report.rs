@@ -179,7 +179,8 @@ fn degrade(report: &mut ff_core::SimReport, spec: &str) -> Result<String, String
 
 fn cmd_capture(args: &Args) -> Result<ExitCode, String> {
     let bench = args.opt("--bench").ok_or("capture needs --bench NAME")?;
-    let model = args.opt("--model").ok_or("capture needs --model NAME")?;
+    let model: ff_core::ModelKind =
+        args.opt("--model").ok_or("capture needs --model NAME")?.parse()?;
     let scale = args.scale()?;
     let w = ff_workloads::benchmark_by_name(bench, scale)
         .ok_or_else(|| format!("unknown benchmark `{bench}`"))?;
@@ -188,7 +189,7 @@ fn cmd_capture(args: &Args) -> Result<ExitCode, String> {
         Some(spec) => degrade(&mut report, spec)?,
         None => String::new(),
     };
-    let rec = golden_record(bench, model, &params, scale.label(), &report);
+    let rec = golden_record(bench, model.label(), &params, scale.label(), &report);
     let path = args.warehouse().put(&rec)?;
     println!(
         "stored {} (cycles={} retired={} cpi={:.3}, hash {}) at {}",

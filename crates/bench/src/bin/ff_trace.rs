@@ -30,7 +30,7 @@
 //! `chrome://tracing`.
 
 use ff_bench::traceview;
-use ff_core::{Baseline, CycleClass, JsonlSink, MachineConfig, Runahead, TraceEvent, TwoPass};
+use ff_core::{CycleClass, JsonlSink, MachineConfig, ModelKind, TraceEvent};
 use ff_workloads::Scale;
 use std::fs::File;
 use std::io::BufReader;
@@ -91,7 +91,10 @@ fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String
 
 fn record(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
-    let model = take_opt(&mut args, "--model")?.unwrap_or_else(|| "2p".to_string());
+    let model = match take_opt(&mut args, "--model")? {
+        Some(name) => name.parse::<ModelKind>().map_err(|e| format!("{e}\n{USAGE}"))?,
+        None => ModelKind::TwoPass,
+    };
     let bench = take_opt(&mut args, "--bench")?.unwrap_or_else(|| "mcf-like".to_string());
     let scale = match take_opt(&mut args, "--scale")?.as_deref() {
         None | Some("tiny") => Scale::Tiny,
@@ -111,19 +114,9 @@ fn record(args: &[String]) -> Result<(), String> {
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
     let mut sink = JsonlSink::new(file);
     let cfg = MachineConfig::paper_table1();
-    let report = match model.as_str() {
-        "base" => Baseline::new(&w.program, w.memory.clone(), cfg).run_with_sink(budget, &mut sink),
-        "2p" => TwoPass::new(&w.program, w.memory.clone(), cfg).run_with_sink(budget, &mut sink),
-        "2pre" => {
-            let mut cfg = cfg;
-            cfg.two_pass.regroup = true;
-            TwoPass::new(&w.program, w.memory.clone(), cfg).run_with_sink(budget, &mut sink)
-        }
-        "runahead" => {
-            Runahead::new(&w.program, w.memory.clone(), cfg).run_with_sink(budget, &mut sink)
-        }
-        other => return Err(format!("unknown model `{other}`\n{USAGE}")),
-    };
+    let report =
+        ff_core::simulate(model, &w.program, w.memory.clone(), &cfg, budget, Some(&mut sink))
+            .report;
     if sink.errored() {
         return Err(format!("write error while streaming to {out}"));
     }

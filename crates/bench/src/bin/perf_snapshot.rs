@@ -11,7 +11,7 @@
 
 use ff_bench::selfprof::{PerfSnapshot, SelfProfiler};
 use ff_bench::{experiments, fmt};
-use ff_core::{MachineConfig, Runahead, TwoPass};
+use ff_core::{MachineConfig, ModelKind};
 use ff_workloads::{paper_benchmarks, Scale};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -66,6 +66,10 @@ fn parse_opts() -> Result<Opts, String> {
     Ok(opts)
 }
 
+/// The models whose fast-forward on/off throughput ratio is measured
+/// (and gated by `--ff-gate`).
+const FF_MODELS: [ModelKind; 2] = [ModelKind::Baseline, ModelKind::TwoPass];
+
 /// Measures every component into a profiler: workload construction,
 /// all four machine models end to end over the paper grid, and the
 /// JSONL trace-sink overhead on one representative run.
@@ -73,21 +77,14 @@ fn measure(scale: Scale) -> SelfProfiler {
     let mut p = SelfProfiler::new();
     let workloads = p.time("workload.build", || paper_benchmarks(scale));
 
-    for model in experiments::MODELS {
-        let section = format!("sim.{}", model.to_lowercase());
+    for kind in ModelKind::ALL {
+        let section = format!("sim.{}", kind.label().to_lowercase());
         for w in &workloads {
             p.time_work(&section, || {
-                let r = experiments::run_model(w, model);
+                let r = experiments::run_model(w, kind);
                 ((), r.retired)
             });
         }
-    }
-    let cfg = MachineConfig::paper_table1();
-    for w in &workloads {
-        p.time_work("sim.runahead", || {
-            let r = Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget);
-            ((), r.retired)
-        });
     }
 
     // Trace-sink overhead: the same 2P run, streaming every event to a
@@ -96,9 +93,16 @@ fn measure(scale: Scale) -> SelfProfiler {
     if let Some(w) = workloads.first() {
         p.time_work("trace.jsonl_sink", || {
             let mut sink = ff_core::JsonlSink::new(std::io::sink());
-            let r =
-                TwoPass::new(&w.program, w.memory.clone(), cfg).run_with_sink(w.budget, &mut sink);
-            ((), r.retired)
+            let cfg = MachineConfig::paper_table1();
+            let out = ff_core::simulate(
+                ModelKind::TwoPass,
+                &w.program,
+                w.memory.clone(),
+                &cfg,
+                w.budget,
+                Some(&mut sink),
+            );
+            ((), out.report.retired)
         });
     }
 
@@ -111,9 +115,9 @@ fn measure(scale: Scale) -> SelfProfiler {
         // Alternate the legs across repetitions so slow drift in host
         // load (the dominant noise source) cancels out of the ratio.
         for _ in 0..3 {
-            for model in ["base", "2P"] {
+            for model in FF_MODELS {
                 for (leg, ff) in [("on", true), ("off", false)] {
-                    p.time_work(&format!("ff.{leg}.{}", model.to_lowercase()), || {
+                    p.time_work(&format!("ff.{leg}.{}", model.label().to_lowercase()), || {
                         let r = experiments::run_model_ff(w, model, ff);
                         ((), r.retired)
                     });
@@ -130,11 +134,12 @@ fn ff_ratios(profiler: &SelfProfiler) -> Vec<(String, f64)> {
     let rate = |name: &str| {
         profiler.sections().iter().find(|s| s.name == name).and_then(|s| s.instrs_per_sec())
     };
-    ["base", "2p"]
+    FF_MODELS
         .iter()
-        .filter_map(|model| {
+        .filter_map(|kind| {
+            let model = kind.label().to_lowercase();
             match (rate(&format!("ff.on.{model}")), rate(&format!("ff.off.{model}"))) {
-                (Some(on), Some(off)) if off > 0.0 => Some((model.to_string(), on / off)),
+                (Some(on), Some(off)) if off > 0.0 => Some((model, on / off)),
                 _ => None,
             }
         })

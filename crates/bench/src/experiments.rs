@@ -15,8 +15,7 @@
 
 use crate::sweep::Cell;
 use ff_core::{
-    Baseline, CycleClass, FeedbackLatency, MachineConfig, ModelKind, Pipe, Runahead, SimReport,
-    ThrottleConfig, TwoPass,
+    CycleClass, FeedbackLatency, MachineConfig, ModelKind, Pipe, SimReport, ThrottleConfig,
 };
 use ff_isa::ArchState;
 use ff_mem::MemLevel;
@@ -24,8 +23,9 @@ use ff_predict::PredictorConfig;
 use ff_workloads::{benchmark_by_name, paper_benchmarks, Scale, Workload};
 use serde::{Deserialize, Serialize};
 
-/// The three paper machines, in display order.
-pub const MODELS: [&str; 3] = ["base", "2P", "2Pre"];
+/// The three machines of Figures 6 and 7, in display order.
+const PAPER_MODELS: [ModelKind; 3] =
+    [ModelKind::Baseline, ModelKind::TwoPass, ModelKind::TwoPassRegroup];
 
 /// Looks a built-in benchmark up by name, panicking with a clear
 /// message otherwise (cells run under panic isolation).
@@ -42,27 +42,21 @@ fn machine(fast_forward: bool) -> MachineConfig {
     cfg
 }
 
-/// Runs one workload on one of the Table 1 machines (`base`, `2P`,
-/// `2Pre`).
+/// Runs workload `w` on model `kind` under `cfg`.
+fn run_on(kind: ModelKind, w: &Workload, cfg: &MachineConfig) -> SimReport {
+    ff_core::simulate(kind, &w.program, w.memory.clone(), cfg, w.budget, None).report
+}
+
+/// Runs one workload on model `kind` under the Table 1 machine.
 #[must_use]
-pub fn run_model(w: &Workload, model: &str) -> SimReport {
-    run_model_ff(w, model, true)
+pub fn run_model(w: &Workload, kind: ModelKind) -> SimReport {
+    run_model_ff(w, kind, true)
 }
 
 /// [`run_model`] with the event-driven fast-forward knob explicit.
 #[must_use]
-pub fn run_model_ff(w: &Workload, model: &str, fast_forward: bool) -> SimReport {
-    let cfg = machine(fast_forward);
-    match model {
-        "base" => Baseline::new(&w.program, w.memory.clone(), cfg).run(w.budget),
-        "2P" => TwoPass::new(&w.program, w.memory.clone(), cfg).run(w.budget),
-        "2Pre" => {
-            let mut re_cfg = cfg;
-            re_cfg.two_pass.regroup = true;
-            TwoPass::new(&w.program, w.memory.clone(), re_cfg).run(w.budget)
-        }
-        other => panic!("unknown model `{other}`"),
-    }
+pub fn run_model_ff(w: &Workload, kind: ModelKind, fast_forward: bool) -> SimReport {
+    run_on(kind, w, &machine(fast_forward))
 }
 
 /// Benchmark-name list for grid building (kernels are constructed
@@ -120,8 +114,8 @@ fn fig6_row(benchmark: &str, r: &SimReport) -> Fig6Row {
 pub fn fig6_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<Fig6Row>> {
     let mut cells = Vec::new();
     for name in benchmark_names(scale) {
-        for model in MODELS {
-            cells.push(Cell::new(name, model, "", move || {
+        for model in PAPER_MODELS {
+            cells.push(Cell::new(name, model.label(), "", move || {
                 let w = workload(name, scale);
                 fig6_row(w.name, &run_model_ff(&w, model, fast_forward))
             }));
@@ -134,7 +128,7 @@ pub fn fig6_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<Fig6Row>> {
 pub fn fig6_finalize(rows: &mut [Fig6Row]) {
     let base: Vec<(String, u64)> = rows
         .iter()
-        .filter(|r| r.model == "base")
+        .filter(|r| r.model == ModelKind::Baseline.label())
         .map(|r| (r.benchmark.clone(), r.cycles))
         .collect();
     for r in rows {
@@ -174,8 +168,8 @@ pub struct Fig7Row {
 pub fn fig7_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<Fig7Row>> {
     let mut cells = Vec::new();
     for name in benchmark_names(scale) {
-        for model in MODELS {
-            cells.push(Cell::new(name, model, "", move || {
+        for model in PAPER_MODELS {
+            cells.push(Cell::new(name, model.label(), "", move || {
                 let w = workload(name, scale);
                 let r = run_model_ff(&w, model, fast_forward);
                 Fig7Row {
@@ -247,7 +241,7 @@ pub fn fig8_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<Fig8Row>> {
                 let w = workload(name, scale);
                 let mut cfg = machine(fast_forward);
                 cfg.two_pass.feedback_latency = lat;
-                let r = TwoPass::new(&w.program, w.memory.clone(), cfg).run(w.budget);
+                let r = run_on(ModelKind::TwoPass, &w, &cfg);
                 let tp = r.two_pass.expect("two-pass stats");
                 Fig8Row {
                     benchmark: w.name.to_string(),
@@ -310,7 +304,7 @@ pub fn branch_stats_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<BranchRo
         .map(|name| {
             Cell::new(name, "2P", "", move || {
                 let w = workload(name, scale);
-                let r = run_model_ff(&w, "2P", fast_forward);
+                let r = run_model_ff(&w, ModelKind::TwoPass, fast_forward);
                 let b = r.branches;
                 BranchRow {
                     benchmark: w.name.to_string(),
@@ -363,7 +357,7 @@ pub fn conflict_stats_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<Confli
         .map(|name| {
             Cell::new(name, "2P", "", move || {
                 let w = workload(name, scale);
-                let r = run_model_ff(&w, "2P", fast_forward);
+                let r = run_model_ff(&w, ModelKind::TwoPass, fast_forward);
                 let tp = r.two_pass.expect("two-pass stats");
                 ConflictRow {
                     benchmark: w.name.to_string(),
@@ -428,7 +422,7 @@ pub fn queue_sweep_cells(
                 let w = workload(name, scale);
                 let mut cfg = machine(fast_forward);
                 cfg.two_pass.queue_size = size;
-                let r = TwoPass::new(&w.program, w.memory.clone(), cfg).run(w.budget);
+                let r = run_on(ModelKind::TwoPass, &w, &cfg);
                 let tp = r.two_pass.expect("two-pass stats");
                 QueueRow {
                     benchmark: w.name.to_string(),
@@ -500,8 +494,8 @@ pub fn fp_stall_cells(
                 let plain_cfg = machine(fast_forward);
                 let mut stall_cfg = plain_cfg.clone();
                 stall_cfg.two_pass.stall_on_anticipable_fp = true;
-                let plain = TwoPass::new(&w.program, w.memory.clone(), plain_cfg).run(w.budget);
-                let stall = TwoPass::new(&w.program, w.memory.clone(), stall_cfg).run(w.budget);
+                let plain = run_on(ModelKind::TwoPass, &w, &plain_cfg);
+                let stall = run_on(ModelKind::TwoPass, &w, &stall_cfg);
                 let ptp = plain.two_pass.expect("two-pass stats");
                 let stp = stall.two_pass.expect("two-pass stats");
                 FpStallRow {
@@ -555,9 +549,9 @@ pub fn runahead_compare_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<Runa
             Cell::new(name, "base+runahead+2P", "", move || {
                 let w = workload(name, scale);
                 let cfg = machine(fast_forward);
-                let base = Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget);
-                let ra = Runahead::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget);
-                let tp = TwoPass::new(&w.program, w.memory.clone(), cfg).run(w.budget);
+                let base = run_on(ModelKind::Baseline, &w, &cfg);
+                let ra = run_on(ModelKind::Runahead, &w, &cfg);
+                let tp = run_on(ModelKind::TwoPass, &w, &cfg);
                 debug_assert_eq!(ra.model, ModelKind::Runahead);
                 RunaheadRow {
                     benchmark: w.name.to_string(),
@@ -626,8 +620,8 @@ pub fn predictor_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<PredictorRo
                 let w = workload(name, scale);
                 let mut cfg = machine(fast_forward);
                 cfg.predictor = predictor_by_label(label);
-                let base = Baseline::new(&w.program, w.memory.clone(), cfg.clone()).run(w.budget);
-                let tp = TwoPass::new(&w.program, w.memory.clone(), cfg).run(w.budget);
+                let base = run_on(ModelKind::Baseline, &w, &cfg);
+                let tp = run_on(ModelKind::TwoPass, &w, &cfg);
                 PredictorRow {
                     benchmark: w.name.to_string(),
                     predictor: label.to_string(),
@@ -681,8 +675,8 @@ pub fn throttle_cells(scale: Scale, fast_forward: bool) -> Vec<Cell<ThrottleRow>
                 let mut t_cfg = plain_cfg.clone();
                 t_cfg.two_pass.throttle =
                     Some(ThrottleConfig { window: 32, defer_threshold: 0.5, resume_occupancy: 8 });
-                let plain = TwoPass::new(&w.program, w.memory.clone(), plain_cfg).run(w.budget);
-                let thr = TwoPass::new(&w.program, w.memory.clone(), t_cfg).run(w.budget);
+                let plain = run_on(ModelKind::TwoPass, &w, &plain_cfg);
+                let thr = run_on(ModelKind::TwoPass, &w, &t_cfg);
                 let ps = plain.two_pass.expect("two-pass stats");
                 let ts = thr.two_pass.expect("two-pass stats");
                 ThrottleRow {

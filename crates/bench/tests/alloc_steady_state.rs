@@ -17,7 +17,7 @@
 //! `#![deny(unsafe_code)]`; integration tests compile as separate
 //! crates, which is why the denial does not bite here.
 
-use ff_core::{Baseline, JsonlSink, MachineConfig, Runahead, TraceSink, TwoPass};
+use ff_core::{Baseline, JsonlSink, MachineConfig, Runahead, Trace, TraceSink, TwoPass};
 use ff_workloads::{benchmark_by_name, Scale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -120,8 +120,9 @@ fn disabled_sink_runs_do_not_allocate_per_cycle() {
 #[test]
 fn jsonl_sink_serializes_events_without_allocating() {
     let w = benchmark_by_name("mcf-like", Scale::Tiny).unwrap();
-    let (_, trace) = TwoPass::new(&w.program, w.memory.clone(), MachineConfig::paper_table1())
-        .run_traced(w.budget);
+    let mut trace = Trace::new();
+    let _ = TwoPass::new(&w.program, w.memory.clone(), MachineConfig::paper_table1())
+        .run_with_sink(w.budget, &mut trace);
     let mut sink = JsonlSink::new(std::io::sink());
     // The first pass grows the sink's line buffer to the longest line.
     for &e in trace.events() {

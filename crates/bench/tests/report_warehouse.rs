@@ -31,7 +31,7 @@ fn temp_store(name: &str) -> PathBuf {
 
 fn tiny_report(bench: &str, model: &str) -> SimReport {
     let w = ff_workloads::benchmark_by_name(bench, Scale::Tiny).expect("known benchmark");
-    experiments::run_model(&w, model)
+    experiments::run_model(&w, model.parse().expect("known model"))
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {

@@ -1,6 +1,6 @@
 //! Pre-decoded program store.
 //!
-//! The cycle loops of all three engines interrogate each instruction
+//! The back ends of every model interrogate each instruction
 //! many times — source/destination walks for the dependence check, the
 //! FU class for slot packing, the fixed latency and refined stall cause
 //! on every write. Re-deriving those from the `Opcode` every cycle is

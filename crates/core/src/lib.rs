@@ -7,6 +7,8 @@
 //! * [`two_pass`] — the paper's contribution: A-pipe + coupling queue +
 //!   B-pipe (`2P`, and `2Pre` with regrouping)
 //! * [`runahead`] — a checkpoint-based runahead comparator (§2)
+//! * [`engine`] — the one cycle engine all of them run on, and
+//!   [`simulate`], which runs any [`ModelKind`]
 //! * [`config`], [`accounting`], [`report`] — machine configuration,
 //!   the six-class cycle accounting of Figure 6, and run reports
 //!
@@ -23,6 +25,7 @@ pub mod accounting;
 pub mod baseline;
 pub mod config;
 pub mod decoded;
+pub mod engine;
 pub mod exec_common;
 pub mod frontend;
 pub mod metrics;
@@ -41,6 +44,7 @@ pub use baseline::Baseline;
 pub use config::{
     FeedbackLatency, FuSlots, MachineConfig, OpLatencies, ThrottleConfig, TwoPassConfig,
 };
+pub use engine::{simulate, Core, Engine, RunOutput};
 pub use metrics::{
     CounterEntry, Histogram, HistogramEntry, MetricSource, MetricsBuilder, MetricsSnapshot,
 };

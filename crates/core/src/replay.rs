@@ -1,4 +1,4 @@
-//! Trace output that spans cycles, shared by the three models.
+//! Trace output that spans cycles, shared by every model.
 //!
 //! Most trace events belong to the cycle that emits them. Three kinds do
 //! not, and [`TraceReplay`] keeps their state:
@@ -77,18 +77,18 @@ impl TraceReplay {
         }
     }
 
-    /// Closes cycle `cycle`, charged to `class` with attribution `attr`:
-    /// emits the class and cause transitions it opens, then its
-    /// occupancy sample if that changed.
+    /// Closes cycle `cycle`, charged to attribution `attr` (and so to
+    /// its cause's class): emits the class and cause transitions it
+    /// opens, then its occupancy sample if that changed.
     pub fn end_cycle(
         &mut self,
         cycle: u64,
-        class: CycleClass,
         attr: StallAttr,
         depth: u32,
         mshr: u32,
         sink: &mut SinkHandle,
     ) {
+        let class = attr.cause.class();
         if self.last_class != Some(class) {
             let from = self.last_class.unwrap_or(class);
             sink.emit_with(|| TraceEvent::ClassTransition { cycle, from, to: class });

@@ -55,13 +55,38 @@ pub enum ModelKind {
     Runahead,
 }
 
-impl fmt::Display for ModelKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl ModelKind {
+    /// Every model, in the paper's display order.
+    pub const ALL: [ModelKind; 4] =
+        [ModelKind::Baseline, ModelKind::TwoPass, ModelKind::TwoPassRegroup, ModelKind::Runahead];
+
+    /// The paper's label: `base`, `2P`, `2Pre` or `runahead`.
+    #[must_use]
+    pub const fn label(self) -> &'static str {
+        match self {
             ModelKind::Baseline => "base",
             ModelKind::TwoPass => "2P",
             ModelKind::TwoPassRegroup => "2Pre",
             ModelKind::Runahead => "runahead",
+        }
+    }
+}
+
+impl fmt::Display for ModelKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
+    }
+}
+
+/// Parses a model label case-insensitively (`base`, `2p`, `2PRE`,
+/// `runahead`, ...); an unknown name is an error listing the valid ones.
+impl std::str::FromStr for ModelKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        ModelKind::ALL.into_iter().find(|k| k.label().eq_ignore_ascii_case(s)).ok_or_else(|| {
+            let names: Vec<&str> = ModelKind::ALL.iter().map(|k| k.label()).collect();
+            format!("unknown model `{s}` (expected one of: {})", names.join(", "))
         })
     }
 }
@@ -222,7 +247,8 @@ pub struct SimReport {
     pub cycles: u64,
     /// Architecturally retired instructions.
     pub retired: u64,
-    /// Per-class cycle accounting (Figure 6).
+    /// Per-class cycle accounting (Figure 6): the collapse of
+    /// `breakdown2`, which is what the simulator charges.
     pub breakdown: CycleBreakdown,
     /// Refined per-cause cycle accounting; collapses onto `breakdown`
     /// (see [`CauseBreakdown::collapse`]).
@@ -313,8 +339,8 @@ impl SimReport {
 
     /// (Re)builds [`SimReport::metrics`] from the typed stats fields,
     /// giving every model's report one uniform flat namespace. Called
-    /// by each model's `into_report`; safe to call again after editing
-    /// the typed fields.
+    /// when the engine builds the report; safe to call again after
+    /// editing the typed fields.
     pub fn collect_metrics(&mut self) {
         let mut b = MetricsBuilder::new();
         b.counter("sim.cycles", self.cycles).counter("sim.retired", self.retired);
@@ -485,6 +511,37 @@ mod tests {
         assert_eq!(ModelKind::Baseline.to_string(), "base");
         assert_eq!(ModelKind::TwoPass.to_string(), "2P");
         assert_eq!(ModelKind::TwoPassRegroup.to_string(), "2Pre");
+        assert_eq!(ModelKind::Runahead.to_string(), "runahead");
+    }
+
+    #[test]
+    fn model_kind_parses_its_labels_case_insensitively() {
+        for kind in ModelKind::ALL {
+            assert_eq!(kind.label().parse::<ModelKind>(), Ok(kind));
+            assert_eq!(kind.label().to_uppercase().parse::<ModelKind>(), Ok(kind));
+            assert_eq!(kind.label().to_lowercase().parse::<ModelKind>(), Ok(kind));
+        }
+        let err = "nope".parse::<ModelKind>().unwrap_err();
+        assert!(err.contains("`nope`") && err.contains("base, 2P, 2Pre, runahead"), "{err}");
+    }
+
+    #[test]
+    fn simulate_returns_the_model_it_was_asked_for() {
+        let mut b = ff_isa::ProgramBuilder::new();
+        b.movi(ff_isa::reg::IntReg::n(1), 5);
+        b.stop();
+        b.halt();
+        let program = b.build().unwrap();
+        for regroup in [false, true] {
+            let mut cfg = crate::MachineConfig::paper_table1();
+            cfg.two_pass.regroup = regroup;
+            for kind in ModelKind::ALL {
+                let mem = ff_isa::MemoryImage::new();
+                let out = crate::simulate(kind, &program, mem, &cfg, 100, None);
+                assert_eq!(out.report.model, kind, "regroup={regroup} coming in");
+                assert_eq!(out.report.retired, 2);
+            }
+        }
     }
 
     #[test]

@@ -9,26 +9,25 @@
 //! **all runahead results are discarded** (the contrast the paper draws:
 //! two-pass pipelining *keeps* its pre-executed work).
 //!
+//! In normal mode the machine is the baseline pipe: it issues through
+//! [`BaselineCore`] and differs only in reacting to a load-use stall.
+//!
 //! Modeling choices (documented in DESIGN.md): runahead stores write a
 //! private overlay (forwarded to runahead loads, discarded at exit);
 //! branches with INV conditions follow the predictor; the predictor is
 //! trained only by architectural execution; exit charges a small
 //! restart penalty plus a front-end refill.
 
-use crate::accounting::{
-    CauseBreakdown, CycleBreakdown, CycleClass, StallAttr, StallCause, StallProfile,
-};
+use crate::accounting::{CycleClass, StallAttr};
+use crate::baseline::BaselineCore;
 use crate::config::MachineConfig;
-use crate::decoded::DecodedProgram;
+use crate::engine::{Core, Engine, Machine, RunOutput};
 use crate::exec_common::fitting_prefix_classes;
-use crate::frontend::{Frontend, FrontendConfig};
-use crate::replay::TraceReplay;
-use crate::report::{BranchStats, MemAccessStats, ModelKind, Pipe, SimReport};
+use crate::report::{ModelKind, Pipe, SimReport};
 use crate::sink::{SinkHandle, TraceSink};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::TraceEvent;
 use ff_isa::reg::TOTAL_REGS;
-use ff_isa::{evaluate, load_write, Effect, MemoryImage, Program};
-use ff_mem::{DataHierarchy, MemLevel, MshrFile};
+use ff_isa::{evaluate, load_write, Effect};
 use overlay::StoreOverlay;
 use serde::{Deserialize, Serialize};
 
@@ -69,39 +68,19 @@ const EXIT_PENALTY: u64 = 2;
 /// assert_eq!(report.retired, 2);
 /// # Ok::<(), ff_isa::BuildProgramError>(())
 /// ```
+pub type Runahead<'p> = Engine<'p, RunaheadCore>;
+
+/// The runahead back end: the baseline issue stage plus checkpointed
+/// pre-execution episodes.
 #[derive(Debug)]
-pub struct Runahead<'p> {
-    cfg: MachineConfig,
-    frontend: Frontend<'p>,
-    /// Per-pc pre-decoded metadata (sources, dests, FU class, latency).
-    code: DecodedProgram,
-    regs: [u64; TOTAL_REGS],
-    ready_at: [u64; TOTAL_REGS],
-    pending_load: [bool; TOTAL_REGS],
-    mem_img: MemoryImage,
-    hier: DataHierarchy,
-    mshrs: MshrFile,
-    cycle: u64,
-    retired: u64,
-    halted: bool,
-    /// Booked fills and last emitted transitions/sample, for tracing.
-    trace: TraceReplay,
-    breakdown: CycleBreakdown,
-    /// Refined per-cause accounting (collapses onto `breakdown`).
-    breakdown2: CauseBreakdown,
-    /// Per-PC stall attribution for the profile table.
-    profile: StallProfile,
-    /// Refined stall cause most recently charged to each register.
-    reg_cause: [StallCause; TOTAL_REGS],
-    /// PC of the instruction that last wrote each register.
-    reg_pc: [usize; TOTAL_REGS],
-    mem_stats: MemAccessStats,
-    branches: BranchStats,
+pub struct RunaheadCore {
+    /// Normal-mode issue.
+    base: BaselineCore,
     /// Control of the open runahead episode; `None` in normal mode.
     ra: Option<Episode>,
     /// Speculative state, meaningful only while `ra` is `Some`.
     spec: SpecState,
-    ra_stats: RunaheadStats,
+    stats: RunaheadStats,
 }
 
 /// Control of one runahead episode.
@@ -137,518 +116,122 @@ struct SpecState {
     stores: StoreOverlay,
 }
 
-impl<'p> Runahead<'p> {
-    /// Creates a runahead machine over `program` with initial memory.
-    #[must_use]
-    pub fn new(program: &'p Program, mem: MemoryImage, cfg: MachineConfig) -> Self {
-        let fe_cfg = FrontendConfig {
-            fetch_width: cfg.issue_width,
-            buffer_capacity: cfg.fetch_buffer,
-            icache_miss_latency: cfg.icache_miss_latency,
-            icache: ff_mem::CacheGeometry::new(16 * 1024, 4, 64),
-        };
-        let frontend = Frontend::new(program, cfg.predictor.build(), fe_cfg);
-        let code = DecodedProgram::new(program, &cfg.latencies);
-        let hier = DataHierarchy::new(cfg.hierarchy).expect("valid hierarchy");
-        let mshrs = MshrFile::new(cfg.max_outstanding_loads);
-        Runahead {
-            cfg,
-            frontend,
-            code,
-            regs: [0; TOTAL_REGS],
-            ready_at: [0; TOTAL_REGS],
-            pending_load: [false; TOTAL_REGS],
-            mem_img: mem,
-            hier,
-            mshrs,
-            cycle: 0,
-            retired: 0,
-            halted: false,
-            trace: TraceReplay::new(),
-            breakdown: CycleBreakdown::new(),
-            breakdown2: CauseBreakdown::new(),
-            profile: StallProfile::new(),
-            reg_cause: [StallCause::DepOther; TOTAL_REGS],
-            reg_pc: [0; TOTAL_REGS],
-            mem_stats: MemAccessStats::default(),
-            branches: BranchStats::default(),
-            ra: None,
-            spec: SpecState {
-                regs: [0; TOTAL_REGS],
-                inv: [false; TOTAL_REGS],
-                ready_at: [0; TOTAL_REGS],
-                stores: StoreOverlay::default(),
-            },
-            ra_stats: RunaheadStats::default(),
-        }
-    }
-
-    /// Runs until `halt` retires or `max_instrs` instructions retire.
-    #[must_use]
-    pub fn run(self, max_instrs: u64) -> SimReport {
-        self.run_with_state(max_instrs).0
-    }
-
-    /// Runs with every pipeline event streamed into `sink` (see
-    /// [`crate::sink`] for bounded and streaming sinks).
-    #[must_use]
-    pub fn run_with_sink(mut self, max_instrs: u64, sink: &mut dyn TraceSink) -> SimReport {
-        let mut handle = SinkHandle::on(sink);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        self.into_report()
-    }
-
-    /// Runs with event tracing enabled, returning the report and the
-    /// recorded in-memory [`Trace`].
-    #[must_use]
-    pub fn run_traced(mut self, max_instrs: u64) -> (SimReport, Trace) {
-        let mut trace = Trace::new();
-        let mut handle = SinkHandle::on(&mut trace);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        (self.into_report(), trace)
-    }
-
-    /// Runs to completion, returning final architectural state as well.
-    #[must_use]
-    pub fn run_with_state(
-        mut self,
-        max_instrs: u64,
-    ) -> (SimReport, [u64; TOTAL_REGS], MemoryImage) {
-        self.run_loop(max_instrs, &mut SinkHandle::off());
-        let regs = self.regs;
-        let mem = std::mem::take(&mut self.mem_img);
-        (self.into_report(), regs, mem)
-    }
-
-    /// Runs with tracing *and* returns the final architectural state —
-    /// one simulation serving both the retirement-order and final-state
-    /// halves of a differential check (see `ff-verify`).
-    #[must_use]
-    pub fn run_traced_with_state(
-        mut self,
-        max_instrs: u64,
-    ) -> (SimReport, Trace, [u64; TOTAL_REGS], MemoryImage) {
-        let mut trace = Trace::new();
-        let mut handle = SinkHandle::on(&mut trace);
-        self.run_loop(max_instrs, &mut handle);
-        handle.finish();
-        let regs = self.regs;
-        let mem = std::mem::take(&mut self.mem_img);
-        (self.into_report(), trace, regs, mem)
-    }
-
-    fn run_loop(&mut self, max_instrs: u64, sink: &mut SinkHandle) {
-        let cycle_cap = max_instrs.saturating_mul(500).max(1_000_000);
-        while !self.halted && self.retired < max_instrs {
-            assert!(
-                self.cycle < cycle_cap,
-                "runahead simulation livelocked at cycle {} (retired {})",
-                self.cycle,
-                self.retired
-            );
-            self.frontend.tick(self.cycle);
-            if sink.is_on() {
-                self.trace.drain_misses(self.cycle, sink);
-            }
-            let (class, attr, wake) =
-                if self.ra.is_some() { self.ra_step(sink) } else { self.normal_step(sink) };
-            self.breakdown.charge(class);
-            self.breakdown2.charge(attr.cause);
-            if let Some(pc) = attr.pc {
-                self.profile.record(pc, attr.cause);
-            }
-            if sink.is_on() {
-                let mshr = self.mshrs.outstanding(self.cycle) as u32;
-                self.trace.end_cycle(self.cycle, class, attr, 0, mshr, sink);
-            }
-            self.cycle += 1;
-            if self.ra.is_none()
-                && self.frontend.is_drained()
-                && self.frontend.complete_group_len().is_none()
-                && !self.halted
-            {
-                break;
-            }
-            if self.cfg.fast_forward && class != CycleClass::Unstalled {
-                self.fast_forward(class, attr, wake, sink);
-            }
-        }
-        self.trace.close(self.cycle, sink);
-    }
-
-    /// Event-driven fast-forward across a provably identical idle span
-    /// (see [`crate::Baseline`] for the scheme). Skipped runahead-mode
-    /// cycles also bulk-charge `runahead_cycles`, exactly as ticking
-    /// each idle episode cycle would.
-    fn fast_forward(
-        &mut self,
-        class: CycleClass,
-        attr: StallAttr,
-        wake: Option<u64>,
-        sink: &mut SinkHandle,
-    ) {
-        let Some(wake) = wake else { return };
-        let target = if self.frontend.is_stopped_or_full() {
-            wake
-        } else {
-            wake.min(self.frontend.resume_at())
-        };
-        if target <= self.cycle {
-            return;
-        }
-        #[cfg(feature = "audit")]
-        assert_eq!(
-            self.probe_stall(target - 1),
-            Some((class, attr)),
-            "fast-forwarded span [{}, {target}) had an enabled event",
-            self.cycle,
-        );
-        let span = target - self.cycle;
-        self.breakdown.charge_n(class, span);
-        self.breakdown2.charge_n(attr.cause, span);
-        if let Some(pc) = attr.pc {
-            self.profile.record_n(pc, attr.cause, span);
-        }
-        if self.ra.is_some() {
-            self.ra_stats.runahead_cycles += span;
-        }
-        self.trace.replay_span(self.cycle, target, 0, &self.mshrs, sink);
-        self.cycle = target;
-    }
-
-    /// Refined attribution for a front-end stall cycle: an in-progress
-    /// refill (redirect / icache miss) versus a simply empty buffer.
-    fn frontend_attr(&self) -> StallAttr {
-        if self.frontend.is_refilling(self.cycle) {
-            StallAttr::new(StallCause::FeRefill)
-        } else {
-            StallAttr::new(StallCause::FeEmpty)
-        }
-    }
-
-    /// Normal-mode issue: identical to the baseline, except a load-use
-    /// stall flips the machine into runahead instead of idling. On a
-    /// stall, the third element is the fast-forward wake hint (`None`
-    /// when the next cycle may differ — e.g. a runahead episode just
-    /// opened, or fetch is actively filling the buffer).
-    fn normal_step(&mut self, sink: &mut SinkHandle) -> (CycleClass, StallAttr, Option<u64>) {
-        let Some(group_len) = self.frontend.complete_group_len() else {
-            let wake = self.frontend.is_refilling(self.cycle).then(|| self.frontend.resume_at());
-            return (CycleClass::FrontEndStall, self.frontend_attr(), wake);
-        };
-
-        // Dependence check at issue-group granularity.
-        let mut block: Option<(CycleClass, usize, u64, StallAttr)> = None;
-        'outer: for i in 0..group_len {
-            let pc = self.frontend.peek(i).pc;
-            let d = self.code.at(pc);
-            for reg in d.srcs.iter().chain(d.dests.iter()) {
-                let idx = reg.index();
-                if self.ready_at[idx] > self.cycle {
-                    let class = if self.pending_load[idx] {
-                        CycleClass::LoadStall
-                    } else {
-                        CycleClass::NonLoadDepStall
-                    };
-                    let attr = StallAttr::at(self.reg_cause[idx], self.reg_pc[idx]);
-                    debug_assert_eq!(attr.cause.class(), class);
-                    block = Some((class, pc, self.ready_at[idx], attr));
-                    break 'outer;
-                }
-            }
-        }
-        if let Some((class, _stall_pc, until, attr)) = block {
-            if class == CycleClass::LoadStall {
-                // The whole group stalls (EPIC group-at-once issue), so
-                // the episode must refetch from the group *head*: the
-                // blocked instruction may be a later member, and any
-                // members before it have not executed architecturally.
-                let head_pc = self.frontend.peek(0).pc;
-                self.enter_runahead(head_pc, until, attr, sink);
-                // The next cycle runs in runahead mode — never skip it.
-                return (class, attr, None);
-            }
-            return (class, attr, Some(until));
-        }
-
-        let n = fitting_prefix_classes(
-            (0..group_len).map(|i| self.code.at(self.frontend.peek(i).pc).fu),
-            &self.cfg.fu_slots,
-            self.cfg.issue_width,
-        );
-        if let Some(i) = (0..n).find(|&i| self.code.at(self.frontend.peek(i).pc).is_load) {
-            if !self.mshrs.has_room(self.cycle) {
-                let pc = self.frontend.peek(i).pc;
-                return (
-                    CycleClass::ResourceStall,
-                    StallAttr::at(StallCause::ResMshr, pc),
-                    self.mshrs.next_wakeup(self.cycle),
-                );
-            }
-        }
-
-        let head_seq = self.frontend.peek(0).seq;
-        let mut issued = 0;
-        let mut redirect: Option<(usize, u64)> = None;
-        for i in 0..n {
-            let f = *self.frontend.peek(i);
-            self.retired += 1;
-            issued += 1;
-            // Single-pipe normal mode: fetch and retire share the cycle.
-            // Speculative runahead-episode instructions get no lifecycle
-            // events (their seqs are reused after the checkpoint restore);
-            // `RunaheadEnter`/`RunaheadExit` bound those spans instead.
-            sink.emit_with(|| TraceEvent::Fetch { cycle: self.cycle, seq: f.seq, pc: f.pc });
-            sink.emit_with(|| TraceEvent::BRetire {
-                cycle: self.cycle,
-                seq: f.seq,
-                pc: f.pc,
-                was_deferred: false,
-            });
-            let d = self.code.at(f.pc);
-            let lat = d.latency;
-            let cause = d.dep_cause;
-            let conditional = d.insn.qp.is_some();
-            let effect = evaluate(&d.insn, &self.regs);
-            match effect {
-                Effect::Nullified | Effect::Nop => {}
-                Effect::Write(writes) => {
-                    for w in writes.iter() {
-                        self.regs[w.reg.index()] = w.bits;
-                        self.ready_at[w.reg.index()] = self.cycle + lat;
-                        self.pending_load[w.reg.index()] = false;
-                        self.reg_cause[w.reg.index()] = cause;
-                        self.reg_pc[w.reg.index()] = f.pc;
-                    }
-                }
-                Effect::Load { addr, size, signed, dest } => {
-                    let raw = self.mem_img.load(addr, size);
-                    let out = self.hier.load(addr);
-                    let (done, eff_level) =
-                        self.book_load(addr, out.level, out.latency, Pipe::B, sink);
-                    self.mem_stats.record_load(Pipe::B, out.level, out.latency);
-                    self.regs[dest.index()] = load_write(raw, size, signed);
-                    self.ready_at[dest.index()] = done;
-                    self.pending_load[dest.index()] = true;
-                    self.reg_cause[dest.index()] = StallCause::load(eff_level);
-                    self.reg_pc[dest.index()] = f.pc;
-                }
-                Effect::Store { addr, size, bits } => {
-                    self.mem_img.write(addr, size, bits);
-                    let _ = self.hier.store(addr);
-                }
-                Effect::Branch { taken, target } => {
-                    if conditional {
-                        self.branches.retired += 1;
-                        self.frontend.predictor_mut().update(f.pc as u64, taken);
-                        if taken != f.predicted_taken {
-                            self.branches.mispredicted += 1;
-                            self.branches.repaired_in_a += 1;
-                            let correct = if taken { target } else { f.pc + 1 };
-                            redirect = Some((correct, self.cycle + self.cfg.adet_penalty()));
-                            break;
-                        }
-                    }
-                    if taken {
-                        break;
-                    }
-                }
-                Effect::Halt => {
-                    self.halted = true;
-                    break;
-                }
-            }
-        }
-        self.frontend.consume(issued);
-        if issued > 0 {
-            sink.emit_with(|| TraceEvent::GroupDispatch {
-                cycle: self.cycle,
-                pipe: Pipe::B,
-                head_seq,
-                len: issued as u32,
-            });
-        }
-        if let Some((pc, at)) = redirect {
-            sink.emit_with(|| TraceEvent::ARedirect { cycle: self.cycle, pc });
-            self.frontend.redirect(pc, at);
-        }
-        (CycleClass::Unstalled, StallAttr::new(StallCause::Issue), None)
-    }
-
-    /// Audit probe: re-derives the idle classification as of cycle `at`
-    /// without side effects, to check that a fast-forwarded span truly
-    /// had no enabled event on its final skipped cycle.
-    #[cfg(feature = "audit")]
-    fn probe_stall(&self, at: u64) -> Option<(CycleClass, StallAttr)> {
-        if let Some(ra) = &self.ra {
-            // A skipped runahead cycle must be idle: episode still open
-            // and nothing issuable.
-            assert!(at < ra.until, "fast-forward overran the episode end");
-            assert!(
-                ra.done || self.frontend.complete_group_len().is_none(),
-                "fast-forwarded runahead span had an issuable group"
-            );
-            return Some((CycleClass::LoadStall, ra.attr));
-        }
-        let Some(group_len) = self.frontend.complete_group_len() else {
-            let cause = if self.frontend.is_refilling(at) {
-                StallCause::FeRefill
-            } else {
-                StallCause::FeEmpty
-            };
-            return Some((CycleClass::FrontEndStall, StallAttr::new(cause)));
-        };
-        for i in 0..group_len {
-            let pc = self.frontend.peek(i).pc;
-            let d = self.code.at(pc);
-            for reg in d.srcs.iter().chain(d.dests.iter()) {
-                let idx = reg.index();
-                if self.ready_at[idx] > at {
-                    let class = if self.pending_load[idx] {
-                        CycleClass::LoadStall
-                    } else {
-                        CycleClass::NonLoadDepStall
-                    };
-                    return Some((class, StallAttr::at(self.reg_cause[idx], self.reg_pc[idx])));
-                }
-            }
-        }
-        let n = fitting_prefix_classes(
-            (0..group_len).map(|i| self.code.at(self.frontend.peek(i).pc).fu),
-            &self.cfg.fu_slots,
-            self.cfg.issue_width,
-        );
-        if let Some(i) = (0..n).find(|&i| self.code.at(self.frontend.peek(i).pc).is_load) {
-            if !self.mshrs.has_room(at) {
-                let pc = self.frontend.peek(i).pc;
-                return Some((CycleClass::ResourceStall, StallAttr::at(StallCause::ResMshr, pc)));
-            }
-        }
-        None
-    }
-
+impl RunaheadCore {
     fn enter_runahead(
         &mut self,
-        stall_pc: usize,
+        m: &Machine<'_>,
         until: u64,
         attr: StallAttr,
         sink: &mut SinkHandle,
     ) {
-        self.ra_stats.episodes += 1;
-        sink.emit_with(|| TraceEvent::RunaheadEnter { cycle: self.cycle, pc: stall_pc });
+        // The whole group stalls (EPIC group-at-once issue), so the
+        // episode must refetch from the group *head*: the blocked
+        // instruction may be a later member, and any members before it
+        // have not executed architecturally.
+        let resume_pc = m.frontend.peek(0).pc;
+        self.stats.episodes += 1;
+        sink.emit_with(|| TraceEvent::RunaheadEnter { cycle: m.cycle, pc: resume_pc });
         self.ra = Some(Episode {
             until,
-            resume_pc: stall_pc,
+            resume_pc,
             done: false,
-            discarded_at_entry: self.ra_stats.discarded_instrs,
+            discarded_at_entry: self.stats.discarded_instrs,
             attr,
         });
         // Checkpoint: runahead starts from the architectural state.
-        self.spec.regs = self.regs;
+        self.spec.regs = m.regs.bits;
         self.spec.inv = [false; TOTAL_REGS];
-        self.spec.ready_at = self.ready_at;
+        self.spec.ready_at = m.regs.ready_at;
         self.spec.stores.clear();
     }
 
     /// One cycle of runahead pre-execution. Architecturally the machine
-    /// is still stalled on the blocking load, so the cycle is charged as
-    /// a load stall. On an idle runahead cycle (episode done, or fetch
-    /// starved), the third element is the fast-forward wake hint.
-    fn ra_step(&mut self, sink: &mut SinkHandle) -> (CycleClass, StallAttr, Option<u64>) {
-        let ra = self.ra.expect("in runahead mode");
-        self.ra_stats.runahead_cycles += 1;
-        let attr = ra.attr;
-
-        if self.cycle >= ra.until {
+    /// is still stalled on the blocking load, so the cycle is charged to
+    /// it. On an idle runahead cycle (episode done, or fetch starved),
+    /// the second element is the fast-forward wake hint.
+    fn ra_step(
+        &mut self,
+        ra: Episode,
+        m: &mut Machine<'_>,
+        sink: &mut SinkHandle,
+    ) -> (StallAttr, Option<u64>) {
+        self.stats.runahead_cycles += 1;
+        if m.cycle >= ra.until {
             // Blocking load returned: restore the checkpoint and refetch
             // from the stalled group.
             sink.emit_with(|| TraceEvent::RunaheadExit {
-                cycle: self.cycle,
+                cycle: m.cycle,
                 pc: ra.resume_pc,
-                discarded: self.ra_stats.discarded_instrs - ra.discarded_at_entry,
+                discarded: self.stats.discarded_instrs - ra.discarded_at_entry,
             });
-            self.frontend.redirect(ra.resume_pc, self.cycle + EXIT_PENALTY);
+            m.frontend.redirect(ra.resume_pc, m.cycle + EXIT_PENALTY);
             self.ra = None;
-            return (CycleClass::LoadStall, attr, None);
+            return (ra.attr, None);
         }
-
-        let mut wake = None;
-        if ra.done {
-            // Ran off a halt: nothing left to pre-execute, idle until the
-            // blocking load returns.
-            wake = Some(ra.until);
-        } else if self.frontend.complete_group_len().is_some() {
-            self.ra_issue(sink);
-        } else {
-            // Fetch-starved runahead cycle: idle until the front end
-            // refills (the run loop caps the jump) or the episode ends.
-            wake = Some(ra.until);
+        if !ra.done && m.frontend.complete_group_len().is_some() {
+            self.ra_issue(m, sink);
+            return (ra.attr, None);
         }
-        (CycleClass::LoadStall, attr, wake)
+        // Ran off a halt (nothing left to pre-execute) or fetch-starved:
+        // idle until the blocking load returns (the run loop caps the
+        // jump at a front-end refill).
+        (ra.attr, Some(ra.until))
     }
 
     /// Issues one group speculatively under INV semantics.
-    fn ra_issue(&mut self, sink: &mut SinkHandle) {
-        let Some(group_len) = self.frontend.complete_group_len() else {
+    fn ra_issue(&mut self, m: &mut Machine<'_>, sink: &mut SinkHandle) {
+        let Some(group_len) = m.frontend.complete_group_len() else {
             return;
         };
         let n = fitting_prefix_classes(
-            (0..group_len).map(|i| self.code.at(self.frontend.peek(i).pc).fu),
-            &self.cfg.fu_slots,
-            self.cfg.issue_width,
+            (0..group_len).map(|i| m.code.at(m.frontend.peek(i).pc).fu),
+            &m.cfg.fu_slots,
+            m.cfg.issue_width,
         );
 
+        let now = m.cycle;
         let mut issued = 0;
         let mut redirect: Option<usize> = None;
         for i in 0..n {
-            let f = *self.frontend.peek(i);
+            let f = *m.frontend.peek(i);
             issued += 1;
-            self.ra_stats.discarded_instrs += 1;
+            self.stats.discarded_instrs += 1;
 
-            let d = self.code.at(f.pc);
+            let d = m.code.at(f.pc);
             let lat = d.latency;
             let conditional = d.insn.qp.is_some();
 
             // INV / not-yet-ready sources poison the result instead of
             // stalling.
-            let mut poisoned = false;
-            for src in d.srcs.iter() {
-                let idx = src.index();
-                if self.spec.inv[idx] || self.spec.ready_at[idx] > self.cycle {
-                    poisoned = true;
-                }
-            }
+            let spec = &mut self.spec;
+            let poisoned =
+                d.srcs.iter().any(|src| spec.inv[src.index()] || spec.ready_at[src.index()] > now);
 
-            let effect = evaluate(&d.insn, &self.spec.regs);
-            match effect {
+            match evaluate(&d.insn, &spec.regs) {
                 Effect::Nullified | Effect::Nop => {}
                 Effect::Write(writes) => {
                     for w in writes.iter() {
-                        self.spec.regs[w.reg.index()] = w.bits;
-                        self.spec.inv[w.reg.index()] = poisoned;
-                        self.spec.ready_at[w.reg.index()] = self.cycle + lat;
+                        spec.regs[w.reg.index()] = w.bits;
+                        spec.inv[w.reg.index()] = poisoned;
+                        spec.ready_at[w.reg.index()] = now + lat;
                     }
                 }
                 Effect::Load { addr, size, signed, dest } => {
                     if poisoned {
-                        self.spec.inv[dest.index()] = true;
+                        spec.inv[dest.index()] = true;
                     } else {
                         // The whole point: initiate the miss early.
-                        let raw = self.spec.stores.read(&self.mem_img, addr, size);
-                        let out = self.hier.load(addr);
-                        let (done, _) = self.book_load(addr, out.level, out.latency, Pipe::A, sink);
-                        self.mem_stats.record_load(Pipe::A, out.level, out.latency);
-                        self.ra_stats.runahead_loads += 1;
-                        self.spec.regs[dest.index()] = load_write(raw, size, signed);
-                        self.spec.inv[dest.index()] = false;
-                        self.spec.ready_at[dest.index()] = done;
+                        let raw = spec.stores.read(&m.mem_img, addr, size);
+                        let (done, _) = m.access_load(addr, Pipe::A, sink);
+                        self.stats.runahead_loads += 1;
+                        spec.regs[dest.index()] = load_write(raw, size, signed);
+                        spec.inv[dest.index()] = false;
+                        spec.ready_at[dest.index()] = done;
                     }
                 }
                 Effect::Store { addr, size, bits } => {
                     if !poisoned {
-                        self.spec.stores.write(addr, size, bits);
+                        spec.stores.write(addr, size, bits);
                     }
                 }
                 Effect::Branch { taken, target } => {
@@ -676,70 +259,90 @@ impl<'p> Runahead<'p> {
                 }
             }
         }
-        self.frontend.consume(issued);
+        m.frontend.consume(issued);
         if let Some(pc) = redirect {
             // In-runahead branch repair: cheap redirect, no episode end.
-            self.frontend.redirect(pc, self.cycle + self.cfg.adet_penalty());
+            m.frontend.redirect(pc, now + m.cfg.adet_penalty());
+        }
+    }
+}
+
+impl Core for RunaheadCore {
+    fn new(cfg: &MachineConfig) -> Self {
+        RunaheadCore {
+            base: BaselineCore::new(cfg),
+            ra: None,
+            spec: SpecState {
+                regs: [0; TOTAL_REGS],
+                inv: [false; TOTAL_REGS],
+                ready_at: [0; TOTAL_REGS],
+                stores: StoreOverlay::default(),
+            },
+            stats: RunaheadStats::default(),
         }
     }
 
-    /// Books a load against the MSHRs, returning its completion cycle and
-    /// the *effective* level the consumer would wait on (a fill-clamped L1
-    /// hit is really waiting on the in-flight fill's level).
-    fn book_load(
-        &mut self,
-        addr: u64,
-        level: MemLevel,
-        latency: u64,
-        pipe: Pipe,
-        sink: &mut SinkHandle,
-    ) -> (u64, MemLevel) {
-        let done = self.cycle + latency;
-        let line = self.cfg.hierarchy.l2.line_of(addr);
-        if level == MemLevel::L1 {
-            // Tags fill at access time, so a "hit" may name a line whose
-            // fill is still in flight: complete no earlier than the fill.
-            return match self.mshrs.pending_fill(self.cycle, line) {
-                Some((fill_done, fill_level)) if fill_done > done => (fill_done, fill_level),
-                _ => (done, MemLevel::L1),
-            };
+    fn kind(&self, _cfg: &MachineConfig) -> ModelKind {
+        ModelKind::Runahead
+    }
+
+    /// Normal mode issues exactly as the baseline, except that a
+    /// load-use stall opens a runahead episode instead of idling; the
+    /// next cycle then runs in runahead mode, so it is never skipped.
+    fn step(&mut self, m: &mut Machine<'_>, sink: &mut SinkHandle) -> (StallAttr, Option<u64>) {
+        if let Some(ra) = self.ra {
+            return self.ra_step(ra, m, sink);
         }
-        let fill_at = self.mshrs.request(self.cycle, line, done, level).unwrap_or(done).max(done);
-        self.trace.miss_begin(sink, self.cycle, pipe, level, addr, fill_at);
-        (fill_at, level)
+        let (attr, wake) = self.base.step(m, sink);
+        if attr.cause.class() == CycleClass::LoadStall {
+            let until = wake.expect("a load-use block wakes when its fill lands");
+            self.enter_runahead(m, until, attr, sink);
+            return (attr, None);
+        }
+        (attr, wake)
     }
 
-    /// Runahead-specific statistics.
-    #[must_use]
-    pub fn runahead_stats(&self) -> RunaheadStats {
-        self.ra_stats
+    fn drained(&self, m: &Machine<'_>) -> bool {
+        self.ra.is_none() && self.base.drained(m)
     }
 
-    fn into_report(self) -> SimReport {
-        let mut report = SimReport {
-            model: ModelKind::Runahead,
-            cycles: self.cycle,
-            retired: self.retired,
-            breakdown: self.breakdown,
-            breakdown2: self.breakdown2,
-            stall_profile: self.profile,
-            mem: self.mem_stats,
-            branches: self.branches,
-            hierarchy: *self.hier.stats(),
-            mshr: self.mshrs.stats(),
-            two_pass: None,
-            metrics: crate::metrics::MetricsSnapshot::default(),
-        };
+    fn drive(
+        engine: Engine<'_, Self>,
+        max_instrs: u64,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> RunOutput {
+        engine.run_to_end(max_instrs, sink)
+    }
+
+    fn charge_span(&mut self, span: u64) {
+        if self.ra.is_some() {
+            self.stats.runahead_cycles += span;
+        }
+    }
+
+    #[cfg(feature = "audit")]
+    fn audit_span(&mut self, m: &mut Machine<'_>, attr: StallAttr, target: u64) {
+        let Some(ra) = &self.ra else { return self.base.audit_span(m, attr, target) };
+        // A skipped runahead cycle must be idle: episode still open and
+        // nothing issuable.
+        assert!(target - 1 < ra.until, "fast-forward overran the episode end");
+        assert!(
+            ra.done || m.frontend.complete_group_len().is_none(),
+            "fast-forwarded runahead span had an issuable group"
+        );
+        assert_eq!(ra.attr, attr, "fast-forwarded runahead span changed attribution");
+    }
+
+    fn finish_report(&mut self, report: &mut SimReport) {
         report.collect_metrics();
         // The runahead counters are model-specific; splice them into the
         // uniform namespace by hand.
         let mut b = crate::metrics::MetricsBuilder::new();
-        b.counter("runahead.episodes", self.ra_stats.episodes)
-            .counter("runahead.cycles", self.ra_stats.runahead_cycles)
-            .counter("runahead.loads", self.ra_stats.runahead_loads)
-            .counter("runahead.discarded_instrs", self.ra_stats.discarded_instrs);
+        b.counter("runahead.episodes", self.stats.episodes)
+            .counter("runahead.cycles", self.stats.runahead_cycles)
+            .counter("runahead.loads", self.stats.runahead_loads)
+            .counter("runahead.discarded_instrs", self.stats.discarded_instrs);
         report.metrics.counters.extend(b.build().counters);
-        report
     }
 }
 
@@ -747,8 +350,9 @@ impl<'p> Runahead<'p> {
 mod tests {
     use super::*;
     use crate::baseline::Baseline;
+    use crate::trace::Trace;
     use ff_isa::reg::{IntReg, PredReg};
-    use ff_isa::{ArchState, CmpKind, ProgramBuilder};
+    use ff_isa::{ArchState, CmpKind, MemoryImage, ProgramBuilder};
 
     fn r(i: u8) -> IntReg {
         IntReg::n(i)
@@ -851,30 +455,19 @@ mod tests {
     #[test]
     fn runahead_stats_populated() {
         let (program, mem) = stream_program(64);
-        let mut sim = Runahead::new(&program, mem, cfg());
-        // Drive manually so stats remain accessible.
-        let mut guard = 0;
-        let mut off = SinkHandle::off();
-        while !sim.halted && guard < 1_000_000 {
-            sim.frontend.tick(sim.cycle);
-            let (class, attr, _wake) =
-                if sim.ra.is_some() { sim.ra_step(&mut off) } else { sim.normal_step(&mut off) };
-            sim.breakdown.charge(class);
-            sim.breakdown2.charge(attr.cause);
-            sim.cycle += 1;
-            guard += 1;
-        }
-        let stats = sim.runahead_stats();
-        assert!(stats.episodes > 0);
-        assert!(stats.runahead_loads > 0, "{stats:?}");
-        assert!(stats.runahead_cycles >= stats.episodes);
+        let report = Runahead::new(&program, mem, cfg()).run(1_000_000);
+        let counter = |name| report.metrics.counter(name).unwrap();
+        assert!(counter("runahead.episodes") > 0);
+        assert!(counter("runahead.loads") > 0, "{:?}", report.metrics);
+        assert!(counter("runahead.cycles") >= counter("runahead.episodes"));
     }
 
     #[test]
     fn run_traced_records_episodes_and_matches_untraced_timing() {
         let (program, mem) = stream_program(64);
         let plain = Runahead::new(&program, mem.clone(), cfg()).run(1_000_000);
-        let (report, trace) = Runahead::new(&program, mem, cfg()).run_traced(1_000_000);
+        let mut trace = Trace::new();
+        let report = Runahead::new(&program, mem, cfg()).run_with_sink(1_000_000, &mut trace);
         assert_eq!(report.cycles, plain.cycles, "tracing must not perturb timing");
         assert_eq!(report.retired, plain.retired);
         let enters =

@@ -10,8 +10,8 @@
 //!
 //! Events flow into a [`crate::sink::TraceSink`]; [`Trace`] is the
 //! in-memory sink (the analyses live in `ff_bench::traceview`). Tracing
-//! is opt-in (`run_traced` / `run_with_sink` on each model) and costs
-//! one branch-on-None per probe when off.
+//! is opt-in (`run_with_sink` on each model, or [`crate::simulate`]
+//! with a sink) and costs one branch-on-None per probe when off.
 
 use crate::accounting::{CycleClass, StallCause};
 use crate::report::Pipe;

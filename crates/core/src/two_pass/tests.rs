@@ -4,9 +4,11 @@
 //! store-conflict recovery).
 
 use super::*;
+use crate::accounting::{CycleBreakdown, CycleClass};
 use crate::baseline::Baseline;
+use crate::trace::Trace;
 use ff_isa::reg::{FpReg, IntReg, PredReg};
-use ff_isa::{ArchState, CmpKind, Program, ProgramBuilder};
+use ff_isa::{ArchState, CmpKind, MemoryImage, Program, ProgramBuilder};
 
 fn r(i: u8) -> IntReg {
     IntReg::n(i)
@@ -538,7 +540,8 @@ fn throttle_limits_queue_occupancy() {
 #[test]
 fn run_traced_records_the_instruction_lifecycle() {
     let (program, mem) = stream(16, 4096);
-    let (report, trace) = TwoPass::new(&program, mem, cfg()).run_traced(10_000);
+    let mut trace = Trace::new();
+    let report = TwoPass::new(&program, mem, cfg()).run_with_sink(10_000, &mut trace);
     assert!(!trace.is_empty());
     // Every retired instruction has a BRetire event.
     let retires =
@@ -566,7 +569,8 @@ fn run_traced_records_the_instruction_lifecycle() {
 fn traced_and_untraced_runs_are_cycle_identical() {
     let (program, mem) = chase(24, 4096);
     let plain = TwoPass::new(&program, mem.clone(), cfg()).run(100_000);
-    let (traced, trace) = TwoPass::new(&program, mem, cfg()).run_traced(100_000);
+    let mut trace = Trace::new();
+    let traced = TwoPass::new(&program, mem, cfg()).run_with_sink(100_000, &mut trace);
     assert_eq!(plain.cycles, traced.cycles, "tracing must not perturb timing");
     assert_eq!(plain.retired, traced.retired);
     assert!(trace.len() as u64 >= 2 * traced.retired, "dispatch+retire per instruction");
@@ -577,7 +581,8 @@ fn class_transitions_reconstruct_the_cycle_breakdown() {
     use crate::trace::TraceEvent;
     // A real kernel with misses and branches exercises several classes.
     let (program, mem) = chase(32, 4096);
-    let (report, trace) = TwoPass::new(&program, mem, cfg()).run_traced(100_000);
+    let mut trace = Trace::new();
+    let report = TwoPass::new(&program, mem, cfg()).run_with_sink(100_000, &mut trace);
 
     // Replay the transitions: each one charges its `to` class from its
     // cycle until the next transition (or the end of the run).

@@ -54,7 +54,8 @@ impl Reference {
         }
     }
 
-    fn end_cycle(&mut self, cycle: u64, class: CycleClass, attr: StallAttr, depth: u32, mshr: u32) {
+    fn end_cycle(&mut self, cycle: u64, attr: StallAttr, depth: u32, mshr: u32) {
+        let class = attr.cause.class();
         if self.last_class != Some(class) {
             let from = self.last_class.unwrap_or(class);
             self.out.push(TraceEvent::ClassTransition { cycle, from, to: class });
@@ -77,10 +78,10 @@ impl Reference {
     }
 }
 
-const CLASSES: [CycleClass; 2] = [CycleClass::LoadStall, CycleClass::ResourceStall];
-const ATTRS: [StallAttr; 3] = [
+const ATTRS: [StallAttr; 4] = [
     StallAttr::at(StallCause::LoadMem, 3),
     StallAttr::at(StallCause::LoadL2, 3),
+    StallAttr::at(StallCause::ResMshr, 5),
     StallAttr::new(StallCause::FeEmpty),
 ];
 
@@ -94,7 +95,7 @@ fn event_driven_replay_matches_the_per_cycle_reference() {
         let mut sink = SinkHandle::on(&mut trace);
         let mut fast = TraceReplay::new();
         let mut reference = Reference::default();
-        let (mut depth, mut class, mut attr) = (0u32, CLASSES[0], ATTRS[0]);
+        let (mut depth, mut attr) = (0u32, ATTRS[0]);
         let mut c = 0u64;
         for _ in 0..300 {
             // One active cycle, then the stall span [c + 1, span_end).
@@ -123,12 +124,11 @@ fn event_driven_replay_matches_the_per_cycle_reference() {
                 depth = rng.gen_range(0u32..3);
             }
             if rng.gen_bool(0.2) {
-                class = CLASSES[rng.gen_range(0usize..CLASSES.len())];
                 attr = ATTRS[rng.gen_range(0usize..ATTRS.len())];
             }
             let mshr = mshrs.outstanding(c) as u32;
-            fast.end_cycle(c, class, attr, depth, mshr, &mut sink);
-            reference.end_cycle(c, class, attr, depth, mshr);
+            fast.end_cycle(c, attr, depth, mshr, &mut sink);
+            reference.end_cycle(c, attr, depth, mshr);
 
             fast.replay_span(c + 1, span_end, depth, &mshrs, &mut sink);
             for k in c + 1..span_end {

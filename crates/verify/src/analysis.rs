@@ -119,6 +119,29 @@ impl CycleBounds {
     }
 }
 
+/// Labels of the pipeline models in bounds tables, in
+/// [`ff_core::ModelKind::ALL`] order.
+const MODEL_LABELS: [&str; 4] = ["Base", "2P", "2Pre", "Ra"];
+
+/// Measured cycles of every pipeline model running `program` from
+/// `mem` for up to `budget` instructions, labelled as in bounds tables
+/// — the other side of a `lower_bound() <= measured` check.
+#[must_use]
+pub fn measured_cycles(
+    program: &Program,
+    mem: &MemoryImage,
+    cfg: &MachineConfig,
+    budget: u64,
+) -> Vec<(&'static str, u64)> {
+    ff_core::ModelKind::ALL
+        .into_iter()
+        .zip(MODEL_LABELS)
+        .map(|(kind, label)| {
+            (label, ff_core::simulate(kind, program, mem.clone(), cfg, budget, None).report.cycles)
+        })
+        .collect()
+}
+
 /// Replays `program` on the golden interpreter (up to `budget` dynamic
 /// instructions) and computes [`CycleBounds`].
 ///

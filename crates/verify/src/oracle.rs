@@ -25,14 +25,15 @@
 //! feature; building `ff-verify` with `--features audit` turns them on
 //! for every simulation the oracle runs.
 
-use ff_core::{Baseline, MachineConfig, Runahead, TraceEvent, TwoPass};
+use ff_core::{simulate, MachineConfig, ModelKind, Trace, TraceEvent};
 use ff_isa::{ArchState, MemoryImage, Program, RegId, TOTAL_REGS};
 use std::fmt;
 
 /// One model's divergence from the golden interpreter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleFailure {
-    /// Which model diverged (`"baseline"`, `"two-pass"`, …).
+    /// Which model diverged, by its [`ModelKind`] label (`base`, `2P`,
+    /// `2Pre`, `runahead`).
     pub model: &'static str,
     /// What diverged, with the first point of divergence.
     pub detail: String,
@@ -194,23 +195,15 @@ pub fn differential_oracle(
     let want = golden(program, mem, budget);
     let mut failures = Vec::new();
 
-    let (r, t, regs, m) =
-        Baseline::new(program, mem.clone(), cfg.clone()).run_traced_with_state(budget);
-    check_model("baseline", r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
-
-    let (r, t, regs, m) =
-        TwoPass::new(program, mem.clone(), cfg.clone()).run_traced_with_state(budget);
-    check_model("two-pass", r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
-
-    let mut regroup_cfg = cfg.clone();
-    regroup_cfg.two_pass.regroup = true;
-    let (r, t, regs, m) =
-        TwoPass::new(program, mem.clone(), regroup_cfg).run_traced_with_state(budget);
-    check_model("two-pass+regroup", r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
-
-    let (r, t, regs, m) =
-        Runahead::new(program, mem.clone(), cfg.clone()).run_traced_with_state(budget);
-    check_model("runahead", r.retired, &retire_pcs(&t), &regs, &m, &want, &mut failures);
+    // One traced run per model serves both the retirement-order and
+    // the final-state halves of the check.
+    for kind in ModelKind::ALL {
+        let mut trace = Trace::new();
+        let out = simulate(kind, program, mem.clone(), cfg, budget, Some(&mut trace));
+        let retired = out.report.retired;
+        let pcs = retire_pcs(&trace);
+        check_model(kind.label(), retired, &pcs, &out.regs, &out.mem, &want, &mut failures);
+    }
 
     OracleReport { instrs: want.instrs, halted: want.halted, failures }
 }

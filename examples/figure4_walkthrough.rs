@@ -14,13 +14,14 @@
 //! ```
 
 use ff_bench::traceview::{lifecycles, pipeview, PipeviewOpts};
-use fleaflicker::core::{MachineConfig, TwoPass};
+use fleaflicker::core::{MachineConfig, Trace, TwoPass};
 use fleaflicker::workloads::{benchmark_by_name, Scale};
 
 fn main() {
     let w = benchmark_by_name("181.mcf", Scale::Tiny).expect("mcf-like is built in");
-    let (report, trace) = TwoPass::new(&w.program, w.memory.clone(), MachineConfig::paper_table1())
-        .run_traced(w.budget);
+    let mut trace = Trace::new();
+    let report = TwoPass::new(&w.program, w.memory.clone(), MachineConfig::paper_table1())
+        .run_with_sink(w.budget, &mut trace);
 
     println!(
         "mcf-like on the two-pass machine: {} cycles, {} retired\n",
